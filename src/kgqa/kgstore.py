@@ -19,7 +19,7 @@ from kgqa.errors import LoadError, NotFoundError
 from kgqa.ids import is_entity_id, is_predicate_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     id: str
     label: str
@@ -28,7 +28,7 @@ class EntityRecord:
     degree: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateRecord:
     id: str
     label: str
@@ -41,7 +41,7 @@ class Triple(NamedTuple):
     object: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRelationProfile:
     entity: str
     incoming: frozenset[str]

@@ -10,21 +10,22 @@ Tokenization: lowercase, maximal alphanumeric runs (underscore excluded),
 no stemming, no stopwords. A document is ``label + " " + description``
 plus space-joined aliases for entities.
 
-The inner accumulation loop runs on the compiled kernel when the
-extension is built, otherwise on its pure-Python twin (see kgqa.scoring);
-both produce bit-identical scores.
+Search accumulates one query token at a time over flat numpy posting
+arrays. Each token's update is the scalar formula above applied per
+document, with the same IEEE double operations in the same order.
 """
 
 import csv
 import json
 import math
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from kgqa import scoring
 from kgqa.errors import DataError, IndexBuildError, LoadError
 from kgqa.kgstore import EntityRecord, PredicateRecord
 
@@ -86,7 +87,14 @@ def _document_text(record) -> str:
 
 
 class Bm25Index:
-    """Immutable BM25 index over one catalog; build once, search concurrently."""
+    """Immutable BM25 index over one catalog; build once, search concurrently.
+
+    Postings are flat arrays in CSR form. Term ``t = term_ids[token]``
+    occurs in documents ``docs[offsets[t]:offsets[t + 1]]``, in ascending
+    order, with term frequencies ``tfs`` at the same positions. ``norm[d]``
+    is ``k1 * (1 - b + b * len_d / avgdl)`` and ``idf[t]`` the term's idf.
+    Document indexes follow ``doc_ids``, which are sorted.
+    """
 
     def __init__(self, records: Sequence, params: Bm25Params, kind: str):
         if not records:
@@ -98,33 +106,35 @@ class Bm25Index:
         self.doc_ids = [r.id for r in self.records]
 
         n = len(self.records)
-        doc_len = []
-        postings: dict[str, list[list]] = {}
-        for idx, rec in enumerate(self.records):
+        term_ids: dict[str, int] = {}
+        terms = array("i")  # one entry per distinct token of each document
+        counts = array("i")
+        distinct = array("i")
+        doc_len = array("i")
+        for rec in self.records:
             tokens = tokenize(_document_text(rec))
+            tf = Counter(tokens)
+            terms.extend([term_ids.setdefault(tok, len(term_ids)) for tok in tf])
+            counts.extend(tf.values())
+            distinct.append(len(tf))
             doc_len.append(len(tokens))
-            counts: dict[str, int] = {}
-            for tok in tokens:
-                counts[tok] = counts.get(tok, 0) + 1
-            for tok, cnt in counts.items():
-                postings.setdefault(tok, [[], []])
-                postings[tok][0].append(idx)
-                postings[tok][1].append(float(cnt))
+
+        term_col = np.asarray(terms)
+        # A stable sort by term keeps each posting list in ascending doc order.
+        order = np.argsort(term_col, kind="stable")
+        df = np.bincount(term_col, minlength=len(term_ids))
+        self.term_ids = term_ids
+        self.offsets = np.concatenate(([0], np.cumsum(df)))
+        self.docs = np.repeat(np.arange(n, dtype=np.int32), distinct)[order]
+        self.tfs = np.array(counts, dtype=np.float64)[order]
 
         avgdl = sum(doc_len) / n
-        self.doc_len = doc_len
-        self.avgdl = avgdl
         k1, b = params.k1, params.b
-        self.norm = [k1 * (1.0 - b + b * dl / avgdl) if avgdl > 0 else k1 * (1.0 - b)
-                     for dl in doc_len]
-        self.idf = {
-            tok: math.log((n - len(ids) + 0.5) / (len(ids) + 0.5) + 1.0)
-            for tok, (ids, _) in postings.items()
-        }
-        self.postings = {tok: (ids, tfs) for tok, (ids, tfs) in postings.items()}
-        # Array mirrors for the compiled kernel, built lazily.
-        self._np_postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._np_norm: Optional[np.ndarray] = None
+        dl = np.array(doc_len, dtype=np.float64)
+        self.norm = (k1 * (1.0 - b + b * dl / avgdl) if avgdl > 0
+                     else np.full(n, k1 * (1.0 - b)))
+        self.idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
+                             for d in df.tolist()], dtype=np.float64)
 
     @classmethod
     def build(cls, catalog: Iterable, params: Bm25Params,
@@ -137,58 +147,33 @@ class Bm25Index:
         kind = "entity" if isinstance(records[0], EntityRecord) else "predicate"
         return cls(records, params, kind)
 
-    def _np_arrays(self, token):
-        cached = self._np_postings.get(token)
-        if cached is None:
-            ids, tfs = self.postings[token]
-            cached = (np.asarray(ids, dtype=np.int32), np.asarray(tfs, dtype=np.float64))
-            self._np_postings[token] = cached
-        return cached
-
-    def scores_for(self, query: str, backend: Optional[str] = None):
-        """Raw per-document scores, indexed like doc_ids.
-
-        Returns a plain list on the python backend and an ndarray on the
-        compiled backend; the values are bit-identical either way.
-        """
-        tokens = [t for t in tokenize(query) if t in self.postings]
-        name = backend or scoring.backend_name()
-        kernel = scoring.get_kernel(name)
-        n = len(self.doc_ids)
-        if name == "c":
-            if self._np_norm is None:
-                self._np_norm = np.asarray(self.norm, dtype=np.float64)
-            scores = np.zeros(n, dtype=np.float64)
-            for tok in tokens:
-                ids, tfs = self._np_arrays(tok)
-                kernel(ids, tfs, self.idf[tok], self._np_norm, self.params.k1, scores)
-            return scores
-        scores = [0.0] * n
-        for tok in tokens:
-            ids, tfs = self.postings[tok]
-            kernel(ids, tfs, self.idf[tok], self.norm, self.params.k1, scores)
-        return scores
-
-    def search(self, query: str, k: int, backend: Optional[str] = None) -> CandidateSet:
+    def search(self, query: str, k: int) -> CandidateSet:
         """Top-k positive-scoring documents; ties broken by ascending id."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        scores = self.scores_for(query, backend=backend)
-        if isinstance(scores, np.ndarray):
-            # doc_ids are sorted, so a stable sort on descending score breaks
-            # ties by ascending id exactly like the list path below.
-            order = np.argsort(-scores, kind="stable")
-            hits = []
-            for i in order.tolist():
-                value = scores[i].item()
-                if value <= 0.0 or len(hits) == k:
-                    break
-                hits.append((self.doc_ids[i], value))
-        else:
-            hits = [(self.doc_ids[i], s) for i, s in enumerate(scores) if s > 0.0]
-            hits.sort(key=lambda h: (-h[1], h[0]))
-            hits = hits[:k]
-        return CandidateSet(query=query, kind=self.kind, hits=tuple(hits))
+        scores = np.zeros(len(self.doc_ids), dtype=np.float64)
+        k1p1 = self.params.k1 + 1.0
+        for tok in tokenize(query):
+            t = self.term_ids.get(tok)
+            if t is None:
+                continue
+            lo, hi = self.offsets[t], self.offsets[t + 1]
+            ids, tf = self.docs[lo:hi], self.tfs[lo:hi]
+            # Each doc occurs once in ids, so this is the scalar update
+            # scores[d] = scores[d] + ... with the same operations per doc.
+            scores[ids] = scores[ids] + self.idf[t] * (tf * k1p1) / (tf + self.norm[ids])
+        hit = np.flatnonzero(scores > 0.0)
+        values = scores[hit]
+        if len(hit) > k:
+            # Keep every score tied with the k-th largest; the sort below
+            # then takes the smallest ids among them.
+            keep = values >= np.partition(values, len(hit) - k)[len(hit) - k]
+            hit, values = hit[keep], values[keep]
+        # doc_ids are sorted, so ascending index is the ascending-id tie-break.
+        order = np.lexsort((hit, -values))[:k]
+        ids = [self.doc_ids[i] for i in hit[order].tolist()]
+        return CandidateSet(query=query, kind=self.kind,
+                            hits=tuple(zip(ids, values[order].tolist())))
 
     def save(self, path) -> None:
         """Persist as a self-describing JSON document (round-trip stable)."""
@@ -216,20 +201,29 @@ class Bm25Index:
                 payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise LoadError(f"{path}: not a valid index file", [(str(path), 1, exc.msg)])
+        if not isinstance(payload, dict):
+            raise LoadError(f"{path}: not a valid index file",
+                            [(str(path), 1, f"top level is a {type(payload).__name__}")])
         if payload.get("format") != INDEX_FORMAT:
             raise LoadError(f"{path}: unrecognized index format",
                             [(str(path), 1, f"format={payload.get('format')!r}")])
         if payload.get("version") != INDEX_VERSION:
             raise LoadError(f"{path}: unsupported index version",
                             [(str(path), 1, f"version={payload.get('version')!r}")])
-        params = Bm25Params(payload["params"]["k1"], payload["params"]["b"])
-        kind = payload["kind"]
-        if kind == "entity":
-            records = [EntityRecord(d["id"], d["label"], d.get("description", ""),
-                                    tuple(d.get("aliases", ()))) for d in payload["docs"]]
-        else:
-            records = [PredicateRecord(d["id"], d["label"], d.get("description", ""))
-                       for d in payload["docs"]]
+        kind = payload.get("kind")
+        if kind not in ("entity", "predicate"):
+            raise LoadError(f"{path}: unknown index kind", [(str(path), 1, f"kind={kind!r}")])
+        try:
+            params = Bm25Params(payload["params"]["k1"], payload["params"]["b"])
+            if kind == "entity":
+                records = [EntityRecord(d["id"], d["label"], d.get("description", ""),
+                                        tuple(d.get("aliases", ()))) for d in payload["docs"]]
+            else:
+                records = [PredicateRecord(d["id"], d["label"], d.get("description", ""))
+                           for d in payload["docs"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(f"{path}: malformed index file",
+                            [(str(path), 1, f"{type(exc).__name__}: {exc}")]) from exc
         return cls(records, params, kind)
 
 

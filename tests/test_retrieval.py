@@ -1,14 +1,17 @@
 """BM25 indexing, search, recall, sweeps, presets, and persistence."""
 
+import json
 import math
 import random
 from collections import Counter
 
 import pytest
 
-from kgqa.errors import DataError, IndexBuildError
+from kgqa.errors import DataError, IndexBuildError, LoadError
 from kgqa.kgstore import EntityRecord, PredicateRecord
 from kgqa.retrieval import (
+    INDEX_FORMAT,
+    INDEX_VERSION,
     Bm25Index,
     Bm25Params,
     DEFAULT_TOP_K,
@@ -148,11 +151,17 @@ class TestSearch:
         assert got.ids() == expected_ids
         assert got.ids()[0] == "Q90"
 
-    def test_tie_break_ascending_id(self):
+    @pytest.mark.parametrize("k, expected", [
+        (3, ["Q10", "Q2", "Q9"]),
+        (2, ["Q10", "Q2"]),
+    ], ids=["whole-tie", "tie-straddles-cut-off"])
+    def test_tie_break_ascending_id(self, k, expected):
         records = [EntityRecord("Q9", "same words"), EntityRecord("Q10", "same words"),
                    EntityRecord("Q2", "same words")]
         index = Bm25Index.build(records, Bm25Params(1.2, 0.0))
-        assert index.search("same", 3).ids() == ["Q10", "Q2", "Q9"]
+        result = index.search("same", k)
+        assert result.ids() == expected
+        assert all(type(score) is float for _, score in result.hits)
 
     def test_hand_computed_score(self):
         # Corpus: "red apple", "green apple pie", "banana"; query "apple".
@@ -348,6 +357,10 @@ class TestSweep:
             [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
 
 
+_HEADER = {"format": INDEX_FORMAT, "version": INDEX_VERSION, "kind": "entity"}
+_DOC = {"id": "Q1", "label": "alpha"}
+
+
 class TestPersistence:
     def test_round_trip_search_identical(self, tmp_path, toy_snapshot):
         index = Bm25Index.build(toy_snapshot.entities.values(), Bm25Params(1.39, 0.4))
@@ -372,3 +385,19 @@ class TestPersistence:
         with pytest.raises(Exception) as err:
             Bm25Index.load(path)
         assert "format" in str(err.value)
+
+    @pytest.mark.parametrize("payload", [
+        {**_HEADER, "docs": [_DOC]},
+        [_HEADER],
+        {**_HEADER, "params": {"k1": 1.2, "b": 0.75}, "docs": [{"label": "alpha"}]},
+        {**_HEADER, "params": {"k1": -1.0, "b": 0.75}, "docs": [_DOC]},
+        {**_HEADER, "params": {"k1": 1.2, "b": 1.5}, "docs": [_DOC]},
+        {**_HEADER, "kind": "bogus", "params": {"k1": 1.2, "b": 0.75}, "docs": [_DOC]},
+    ], ids=["no-params", "top-level-list", "doc-without-id", "k1-out-of-range",
+            "b-out-of-range", "unknown-kind"])
+    def test_malformed_file_raises_load_error(self, tmp_path, payload):
+        path = tmp_path / "index.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            Bm25Index.load(path)
+        assert str(path) in str(err.value)
