@@ -77,16 +77,6 @@ def _wrap_errors(fn):
     return wrapper
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return cfg
-
-
 def _pick(value, cfg, key, default=None):
     if value is not None:
         return value
@@ -99,17 +89,44 @@ def _outdir(out):
     return path
 
 
-def _snapshot(toy, entity_file, predicate_file, triple_file, cfg):
+def _write_json(path, payload):
+    path.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n",
+                    encoding="utf-8")
+
+
+def _inputs(config_path, toy, entity_file, predicate_file, triple_file):
+    """Load the --config JSON object, then the snapshot from --toy, the file
+    flags or the config."""
+    cfg = {}
+    if config_path is not None:
+        with open(config_path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{config_path}: config must be a JSON object")
     if toy:
-        return load_snapshot(toy_data.toy_entity_file(), toy_data.toy_predicate_file(),
-                             toy_data.toy_triple_file())
+        return cfg, load_snapshot(toy_data.toy_entity_file(),
+                                  toy_data.toy_predicate_file(),
+                                  toy_data.toy_triple_file())
     entity_file = _pick(entity_file, cfg, "entity_file")
     predicate_file = _pick(predicate_file, cfg, "predicate_file")
     triple_file = _pick(triple_file, cfg, "triple_file")
     if not (entity_file and predicate_file and triple_file):
         raise ConfigError(
             "need --toy or all of --entity-file/--predicate-file/--triple-file")
-    return load_snapshot(entity_file, predicate_file, triple_file)
+    return cfg, load_snapshot(entity_file, predicate_file, triple_file)
+
+
+def _examples(dataset_path, toy, split, toy_file=toy_data.toy_dataset_file):
+    """Load the dataset (the bundled one with --toy) and keep one split."""
+    if dataset_path is None and toy:
+        dataset_path = toy_file()
+    if dataset_path is None:
+        raise ConfigError("need --dataset (or --toy)")
+    loaded = load_dataset(dataset_path)
+    examples = [ex for ex in loaded.examples if split in ("all", ex.split)]
+    if not examples:
+        raise ConfigError(f"no examples in split {split!r}")
+    return loaded, examples
 
 
 def _params(kind, preset, k1, b, cfg):
@@ -133,6 +150,12 @@ def _build_index(snapshot, kind, params, min_degree=None):
     return Bm25Index.build(snapshot.predicates.values(), params)
 
 
+def _indexes(snapshot, cfg, preset, k1=None, b=None, min_degree=None):
+    return (_build_index(snapshot, "entity", _params("entity", preset, k1, b, cfg),
+                         min_degree),
+            _build_index(snapshot, "predicate", _params("predicate", preset, k1, b, cfg)))
+
+
 def _parse_grid(spec):
     if ":" in spec:
         parts = spec.split(":")
@@ -150,23 +173,30 @@ def _id_list(raw):
     return [tok for tok in raw.replace(",", " ").split() if tok]
 
 
-def _recall_examples(dataset_path, kind, split):
-    loaded = load_dataset(dataset_path)
-    pairs = []
-    for ex in loaded.examples:
-        if split not in ("all", ex.split):
-            continue
-        gold = ex.gold_entities if kind == "entity" else ex.gold_predicates
-        pairs.append((ex.question, set(gold)))
-    return pairs
-
-
 def _llm_config(base_url, model, api_key_env, timeout, retries):
     if not base_url or not model:
         raise ConfigError("remote backend needs --llm-base-url and --llm-model")
     return ReasonerClientConfig(base_url=base_url, model_name=model,
                                 api_key_env=api_key_env, timeout=timeout,
                                 max_retries=retries)
+
+
+def _disambiguator(choice, llm):
+    if choice == "oracle-gold":
+        return GoldOracle()
+    if choice == "oracle-label":
+        return LabelOracle()
+    return RemoteReasoner(llm())
+
+
+def _generator(choice, llm, gold):
+    if choice == "template":
+        return TemplateGenerator()
+    if choice == "gold-passthrough":
+        if gold is None:
+            raise ConfigError("gold-passthrough needs --gold-query")
+        return GoldPassthrough(gold)
+    return RemoteLlmGenerator(llm())
 
 
 def _executor(choice, snapshot, endpoint, user_agent, timeout):
@@ -200,12 +230,30 @@ _LLM_OPTIONS = [
 ]
 
 
+_OUTPUT_OPTIONS = [
+    click.option("--config", "config_path", type=click.Path(), default=None),
+    click.option("--out", default="kgqa-out", show_default=True),
+]
+
+
 def _options(options):
     def wrap(fn):
         for option in reversed(options):
             fn = option(fn)
         return fn
     return wrap
+
+
+def _llm_options(fn):
+    """Add the --llm-* flags and pass them on as ``llm``, a callable that
+    builds the client config, so only remote backends require them."""
+    @functools.wraps(fn)
+    def wrapper(llm_base_url, llm_model, llm_api_key_env, llm_timeout,
+                llm_max_retries, **kwargs):
+        llm = functools.partial(_llm_config, llm_base_url, llm_model,
+                                llm_api_key_env, llm_timeout, llm_max_retries)
+        return fn(llm=llm, **kwargs)
+    return _options(_LLM_OPTIONS)(wrapper)
 
 
 @click.group()
@@ -224,14 +272,12 @@ def cli():
 @click.option("--b", type=float, default=None, help="BM25 b (overrides preset).")
 @click.option("--min-degree", type=int, default=None,
               help="Prune entities below this degree before indexing.")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def index_build(toy, entity_file, predicate_file, triple_file, kind, preset, k1, b,
                 min_degree, config_path, out):
     """Build a BM25 index over the entity or predicate catalog."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     params = _params(kind, preset, k1, b, cfg)
     index = _build_index(snapshot, kind, params, min_degree)
     path = _outdir(out) / "index.json"
@@ -252,24 +298,21 @@ def index_build(toy, entity_file, predicate_file, triple_file, kind, preset, k1,
 @click.option("--b", "b_grid", default="0.0:1.0:0.25", show_default=True)
 @click.option("--k", type=int, default=10, show_default=True)
 @click.option("--min-degree", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def index_sweep(toy, entity_file, predicate_file, triple_file, kind, dataset_path,
                 split, k1_grid, b_grid, k, min_degree, config_path, out):
     """Grid-search BM25 hyperparameters by Recall@k."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
-    if dataset_path is None and toy:
-        dataset_path = toy_data.toy_dataset_file()
-    if dataset_path is None:
-        raise ConfigError("need --dataset (or --toy)")
-    examples = _recall_examples(dataset_path, kind, split)
+    _, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
+    _, examples = _examples(dataset_path, toy, split)
+    pairs = [(ex.question,
+              set(ex.gold_entities if kind == "entity" else ex.gold_predicates))
+             for ex in examples]
 
     def builder(params):
         return _build_index(snapshot, kind, params, min_degree)
 
-    result = sweep(builder, examples, _parse_grid(k1_grid), _parse_grid(b_grid), k)
+    result = sweep(builder, pairs, _parse_grid(k1_grid), _parse_grid(b_grid), k)
     path = _outdir(out) / "sweep.csv"
     write_sweep_csv(result, path)
     click.echo(f"best k1={result.best.k1:g} b={result.best.b:g} "
@@ -286,21 +329,17 @@ def index_sweep(toy, entity_file, predicate_file, triple_file, kind, dataset_pat
 @click.option("--k1", type=float, default=None)
 @click.option("--b", type=float, default=None)
 @click.option("--min-degree", type=int, default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def retrieve(toy, entity_file, predicate_file, triple_file, kind, query, k, preset,
              k1, b, min_degree, config_path, out):
     """Search the catalog and print ranked candidates."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     index = _build_index(snapshot, kind, _params(kind, preset, k1, b, cfg), min_degree)
     candidates = index.search(query, k)
-    payload = {"query": query, "kind": kind,
-               "hits": [[cid, score] for cid, score in candidates.hits]}
-    path = _outdir(out) / "candidates.json"
-    path.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json(_outdir(out) / "candidates.json",
+                {"query": query, "kind": kind,
+                 "hits": [[cid, score] for cid, score in candidates.hits]})
     for cid, score in candidates.hits:
         click.echo(f"{cid}\t{score:.6f}\t{index.by_id[cid].label}")
 
@@ -317,33 +356,21 @@ def retrieve(toy, entity_file, predicate_file, triple_file, kind, query, k, pres
 @click.option("--preset", default=None)
 @click.option("--k1", type=float, default=None)
 @click.option("--b", type=float, default=None)
-@_options(_LLM_OPTIONS)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_llm_options
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def disambiguate_cmd(toy, entity_file, predicate_file, triple_file, question, kind,
-                     backend, gold, k, preset, k1, b, llm_base_url, llm_model,
-                     llm_api_key_env, llm_timeout, llm_max_retries, config_path, out):
+                     backend, gold, k, preset, k1, b, llm, config_path, out):
     """Retrieve candidates and select the ids the question mentions."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     index = _build_index(snapshot, kind, _params(kind, preset, k1, b, cfg))
     candidates = index.search(question, k)
-    if backend == "oracle-label":
-        chosen = LabelOracle()
-    elif backend == "oracle-gold":
-        chosen = GoldOracle()
-    else:
-        chosen = RemoteReasoner(_llm_config(llm_base_url, llm_model, llm_api_key_env,
-                                            llm_timeout, llm_max_retries))
-    result = disambiguate(question, candidates, kind, chosen, catalog=index.by_id,
-                          gold=_id_list(gold) if gold else None)
-    payload = {"question": question, "kind": kind, "backend": result.backend,
-               "selected": list(result.selected), "off_list": result.off_list,
-               "failure": result.failure}
-    path = _outdir(out) / "disambiguation.json"
-    path.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    result = disambiguate(question, candidates, kind, _disambiguator(backend, llm),
+                          catalog=index.by_id, gold=_id_list(gold) if gold else None)
+    _write_json(_outdir(out) / "disambiguation.json",
+                {"question": question, "kind": kind, "backend": result.backend,
+                 "selected": list(result.selected), "off_list": result.off_list,
+                 "failure": result.failure})
     click.echo(" ".join(result.selected) if result.selected else "(empty selection)")
 
 
@@ -356,16 +383,13 @@ def disambiguate_cmd(toy, entity_file, predicate_file, triple_file, question, ki
 @click.option("--entity-ids", default="", help="Selected entity ids, comma-separated.")
 @click.option("--predicate-ids", default="", help="Selected predicate ids.")
 @click.option("--gold-query", default=None, help="Query for gold-passthrough.")
-@_options(_LLM_OPTIONS)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_llm_options
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def generate_cmd(toy, entity_file, predicate_file, triple_file, question, generator,
-                 entity_ids, predicate_ids, gold_query, llm_base_url, llm_model,
-                 llm_api_key_env, llm_timeout, llm_max_retries, config_path, out):
+                 entity_ids, predicate_ids, gold_query, llm, config_path, out):
     """Produce a SPARQL query from the question and selected candidates."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+    _, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
 
     def record(cid):
         rec = snapshot.entities.get(cid) or snapshot.predicates.get(cid)
@@ -378,22 +402,10 @@ def generate_cmd(toy, entity_file, predicate_file, triple_file, question, genera
         entities=tuple(record(c) for c in _id_list(entity_ids)),
         predicates=tuple(record(c) for c in _id_list(predicate_ids)),
     )
-    if generator == "template":
-        backend = TemplateGenerator()
-    elif generator == "gold-passthrough":
-        if gold_query is None:
-            raise ConfigError("gold-passthrough needs --gold-query")
-        backend = GoldPassthrough(gold_query)
-    else:
-        backend = RemoteLlmGenerator(_llm_config(llm_base_url, llm_model,
-                                                 llm_api_key_env, llm_timeout,
-                                                 llm_max_retries))
-    result = generate(request, backend)
-    path = _outdir(out) / "generation.json"
-    path.write_text(json.dumps({"question": question, "backend": result.backend,
-                                "query": result.query_text},
-                               ensure_ascii=False, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    result = generate(request, _generator(generator, llm, gold_query))
+    _write_json(_outdir(out) / "generation.json",
+                {"question": question, "backend": result.backend,
+                 "query": result.query_text})
     click.echo(result.query_text)
 
 
@@ -405,13 +417,12 @@ def generate_cmd(toy, entity_file, predicate_file, triple_file, question, genera
               help="Selected predicate ids, comma-separated.")
 @click.option("--mode", type=click.Choice(["alg1", "strict"]), default="alg1",
               show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
+@_options(_OUTPUT_OPTIONS[:1])
 @_wrap_errors
 def filter_check(toy, entity_file, predicate_file, triple_file, entity_ids,
                  predicate_ids, mode, config_path):
     """Check whether the selected entities relate to the selected predicates."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+    _, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     checker = strict_check_entity_mismatch if mode == "strict" else check_entity_mismatch
     mismatch = checker(snapshot, set(_id_list(entity_ids)), set(_id_list(predicate_ids)))
     click.echo("REJECT pre-generation-filter" if mismatch else "PASS")
@@ -425,22 +436,19 @@ def filter_check(toy, entity_file, predicate_file, triple_file, entity_ids,
 @click.option("--endpoint", default=None, help="SPARQL endpoint URL for remote.")
 @click.option("--user-agent", default=None)
 @click.option("--timeout", type=float, default=60.0, show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_choice,
                 endpoint, user_agent, timeout, config_path, out):
     """Run one query locally or against a remote endpoint."""
-    cfg = _load_config(config_path)
     snapshot = None
     if executor_choice == "local":
-        snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+        _, snapshot = _inputs(config_path, toy, entity_file, predicate_file,
+                              triple_file)
     executor = _executor(executor_choice, snapshot, endpoint, user_agent, timeout)
     answers = executor.run(query)
-    payload = {"query": query, "terms": answers.sorted_terms(), "truth": answers.truth}
-    path = _outdir(out) / "answers.json"
-    path.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    _write_json(_outdir(out) / "answers.json",
+                {"query": query, "terms": answers.sorted_terms(), "truth": answers.truth})
     for term in answers.sorted_terms():
         click.echo(term)
 
@@ -473,52 +481,26 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--workers", type=int, default=1, show_default=True)
-@_options(_LLM_OPTIONS)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_llm_options
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def evaluate(toy, entity_file, predicate_file, triple_file, dataset_path, split,
              preset, k1, b, k, min_degree, disambiguator, generator, executor_choice,
              endpoint, user_agent, timeout, filter_mode, execution_check, seed, workers,
-             llm_base_url, llm_model, llm_api_key_env, llm_timeout, llm_max_retries,
-             config_path, out):
+             llm, config_path, out):
     """Run the full pipeline over a dataset and write report + trace."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
-    if dataset_path is None and toy:
-        dataset_path = toy_data.toy_dataset_file()
-    if dataset_path is None:
-        raise ConfigError("need --dataset (or --toy)")
-    loaded = load_dataset(dataset_path)
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
+    loaded, examples = _examples(dataset_path, toy, split)
     for name in sorted(loaded.split_counts):
         click.echo(f"split {name}: {loaded.split_counts[name]} examples")
     for lineno, message in loaded.line_errors:
         click.echo(f"skipped line {lineno}: {message}", err=True)
-    examples = [ex for ex in loaded.examples if split in ("all", ex.split)]
-    if not examples:
-        raise ConfigError(f"no examples in split {split!r}")
 
-    entity_index = _build_index(snapshot, "entity",
-                                _params("entity", preset, k1, b, cfg), min_degree)
-    predicate_index = _build_index(snapshot, "predicate",
-                                   _params("predicate", preset, k1, b, cfg))
-    if disambiguator == "oracle-gold":
-        disamb = GoldOracle()
-    elif disambiguator == "oracle-label":
-        disamb = LabelOracle()
-    else:
-        disamb = RemoteReasoner(_llm_config(llm_base_url, llm_model, llm_api_key_env,
-                                            llm_timeout, llm_max_retries))
-    if generator == "gold-passthrough":
-        gen = GoldPassthrough({ex.id: ex.gold_query for ex in examples})
-    elif generator == "template":
-        gen = TemplateGenerator()
-    else:
-        gen = RemoteLlmGenerator(_llm_config(llm_base_url, llm_model, llm_api_key_env,
-                                             llm_timeout, llm_max_retries))
+    entity_index, predicate_index = _indexes(snapshot, cfg, preset, k1, b, min_degree)
     pipeline_cfg = PipelineConfig(
         snapshot=snapshot, entity_index=entity_index, predicate_index=predicate_index,
-        disambiguator=disamb, generator=gen,
+        disambiguator=_disambiguator(disambiguator, llm),
+        generator=_generator(generator, llm, {ex.id: ex.gold_query for ex in examples}),
         executor=_executor(executor_choice, snapshot, endpoint, user_agent, timeout),
         policy=GuardPolicy(filter=filter_mode, execution=execution_check == "on"),
         k=k, seed=seed, workers=workers,
@@ -542,24 +524,14 @@ def evaluate(toy, entity_file, predicate_file, triple_file, dataset_path, split,
 @click.option("--corrupt-fraction", type=float, default=0.5, show_default=True,
               help="Share of generations to corrupt for the study.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def reject_report(toy, entity_file, predicate_file, triple_file, dataset_path, split,
                   preset, k, corrupt_fraction, seed, config_path, out):
     """Corrupt a share of gold generations and measure each rejection policy."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
-    if dataset_path is None and toy:
-        dataset_path = toy_data.toy_dataset_file()
-    if dataset_path is None:
-        raise ConfigError("need --dataset (or --toy)")
-    loaded = load_dataset(dataset_path)
-    examples = [ex for ex in loaded.examples if split in ("all", ex.split)]
-    entity_index = _build_index(snapshot, "entity",
-                                _params("entity", preset, None, None, cfg))
-    predicate_index = _build_index(snapshot, "predicate",
-                                   _params("predicate", preset, None, None, cfg))
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
+    _, examples = _examples(dataset_path, toy, split)
+    entity_index, predicate_index = _indexes(snapshot, cfg, preset)
     pipeline_cfg = PipelineConfig(
         snapshot=snapshot, entity_index=entity_index, predicate_index=predicate_index,
         disambiguator=GoldOracle(),
@@ -585,14 +557,12 @@ def reject_report(toy, entity_file, predicate_file, triple_file, dataset_path, s
 @click.option("--seed", type=int, default=0, show_default=True)
 @_options(_SNAPSHOT_OPTIONS)
 @click.option("--preset", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def make_splits(dataset_specs, held_out, distractors, seed, toy, entity_file,
                 predicate_file, triple_file, preset, config_path, out):
     """Cross-dataset generalization split: train on all but one dataset."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     datasets = {}
     for spec in dataset_specs:
         name, _, path = spec.partition("=")
@@ -600,10 +570,7 @@ def make_splits(dataset_specs, held_out, distractors, seed, toy, entity_file,
             raise ConfigError(f"--dataset must be name=path, got {spec!r}")
         datasets[name] = list(load_dataset(path).examples)
     train, test = make_generalization_splits(datasets, held_out)
-    entity_index = _build_index(snapshot, "entity",
-                                _params("entity", preset, None, None, cfg))
-    predicate_index = _build_index(snapshot, "predicate",
-                                   _params("predicate", preset, None, None, cfg))
+    entity_index, predicate_index = _indexes(snapshot, cfg, preset)
     out_path = _outdir(out)
     report = augment_training_pairs(train, entity_index, predicate_index,
                                     out_path / "train.jsonl",
@@ -627,24 +594,14 @@ def make_splits(dataset_specs, held_out, distractors, seed, toy, entity_file,
 @click.option("--seed", type=int, default=0, show_default=True)
 @_options(_SNAPSHOT_OPTIONS)
 @click.option("--preset", default=None)
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", default="kgqa-out", show_default=True)
+@_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def augment_train(dataset_path, split, distractors, seed, toy, entity_file,
                   predicate_file, triple_file, preset, config_path, out):
     """Write distractor-augmented prompt/target training pairs."""
-    cfg = _load_config(config_path)
-    snapshot = _snapshot(toy, entity_file, predicate_file, triple_file, cfg)
-    if dataset_path is None and toy:
-        dataset_path = toy_data.toy_train_file()
-    if dataset_path is None:
-        raise ConfigError("need --dataset (or --toy)")
-    loaded = load_dataset(dataset_path)
-    examples = [ex for ex in loaded.examples if split in ("all", ex.split)]
-    entity_index = _build_index(snapshot, "entity",
-                                _params("entity", preset, None, None, cfg))
-    predicate_index = _build_index(snapshot, "predicate",
-                                   _params("predicate", preset, None, None, cfg))
+    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
+    _, examples = _examples(dataset_path, toy, split, toy_data.toy_train_file)
+    entity_index, predicate_index = _indexes(snapshot, cfg, preset)
     path = _outdir(out) / "train_augmented.jsonl"
     report = augment_training_pairs(examples, entity_index, predicate_index, path,
                                     n_distractors=distractors, seed=seed)

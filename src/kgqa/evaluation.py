@@ -8,7 +8,6 @@ sets come from executing the gold query once and are cached.
 
 import csv
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -190,9 +189,9 @@ def write_trace_jsonl(outcomes, path) -> None:
 
 
 def write_gold_cache(examples, path) -> None:
-    """Cache gold answer sets with a timestamp (answers can drift upstream)."""
+    """Write each example's gold answer set, keyed by question id; the file
+    depends only on the answers, so identical runs write identical bytes."""
     payload = {
-        "cached_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "answers": {
             ex.id: sorted(ex.gold_answers.terms)
             for ex in examples if ex.gold_answers is not None

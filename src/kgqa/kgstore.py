@@ -269,10 +269,3 @@ def prune_by_degree(snapshot: Snapshot, min_degree: int = 10) -> set[str]:
         raise ValueError("min_degree must be >= 0")
     return {e for e, rec in snapshot.entities.items() if rec.degree >= min_degree}
 
-
-def entity_documents(snapshot: Snapshot, ids: Optional[Iterable[str]] = None):
-    """Entity records in id-sorted order, optionally restricted to ``ids``."""
-    keep = set(ids) if ids is not None else None
-    for eid in sorted(snapshot.entities):
-        if keep is None or eid in keep:
-            yield snapshot.entities[eid]

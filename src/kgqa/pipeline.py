@@ -2,23 +2,22 @@
 execute, score.
 
 ``run_example`` produces a full trace for one question. The rejection
-study variants always generate and force-execute the query so each
-rejection policy can be evaluated analytically against the ground-truth
-correctness of the generation.
+study runs every case through it with the filter off, so each generation
+is executed and each rejection policy can be evaluated analytically
+against the ground-truth correctness of the generation.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from kgqa.disambiguation import disambiguate
-from kgqa.errors import ExecutionError, GenerationError, KgqaError, QueryParseError
-from kgqa.generation import GenerationRequest, generate
+from kgqa.errors import KgqaError
+from kgqa.generation import GenerationRequest, GoldPassthrough, generate
 from kgqa.guard import (
     GuardContext,
     GuardPolicy,
     GuardVerdict,
-    STAGE_PARSE,
     check_entity_mismatch,
     guard_pipeline,
 )
@@ -77,20 +76,6 @@ def _gold_answers(example, cfg) -> AnswerSet:
     return answers
 
 
-def _select_candidates(example, cfg):
-    entity_candidates = cfg.entity_index.search(example.question, cfg.k)
-    predicate_candidates = cfg.predicate_index.search(example.question, cfg.k)
-    entity_sel = disambiguate(
-        example.question, entity_candidates, "entity", cfg.disambiguator,
-        catalog=cfg.entity_index.by_id, gold=example.gold_entities,
-    )
-    predicate_sel = disambiguate(
-        example.question, predicate_candidates, "predicate", cfg.disambiguator,
-        catalog=cfg.predicate_index.by_id, gold=example.gold_predicates,
-    )
-    return entity_candidates, predicate_candidates, entity_sel, predicate_sel
-
-
 def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
     outcome = PipelineOutcome(
         question_id=example.id, dataset=example.dataset, question=example.question,
@@ -102,8 +87,16 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
         gold = AnswerSet.empty()
     outcome.gold_answers = tuple(gold.sorted_terms())
 
-    entity_candidates, predicate_candidates, entity_sel, predicate_sel = \
-        _select_candidates(example, cfg)
+    entity_candidates = cfg.entity_index.search(example.question, cfg.k)
+    predicate_candidates = cfg.predicate_index.search(example.question, cfg.k)
+    entity_sel = disambiguate(
+        example.question, entity_candidates, "entity", cfg.disambiguator,
+        catalog=cfg.entity_index.by_id, gold=example.gold_entities,
+    )
+    predicate_sel = disambiguate(
+        example.question, predicate_candidates, "predicate", cfg.disambiguator,
+        catalog=cfg.predicate_index.by_id, gold=example.gold_predicates,
+    )
     outcome.entity_candidates = entity_candidates.hits
     outcome.predicate_candidates = predicate_candidates.hits
     outcome.entities_selected = entity_sel.selected
@@ -170,6 +163,8 @@ def build_rejection_suite(examples, snapshot, fraction: float = 0.5,
                 eligible.append(idx)
         except KgqaError:
             continue
+    if not 0 <= fraction <= 1:
+        raise ValueError(f"corrupt fraction must be in [0, 1], got {fraction}")
     n_corrupt = min(round(len(examples) * fraction), len(eligible))
     rng.shuffle(eligible)
     corrupt_at = set(eligible[:n_corrupt])
@@ -208,64 +203,21 @@ def _disconnected_predicate(snapshot, entity_ids) -> Optional[str]:
 
 
 def run_rejection_study(cases, cfg: PipelineConfig) -> list[PipelineOutcome]:
-    """Force-execute every generation and record per-policy rejection flags."""
+    """Run every case through ``run_example`` with the filter off, so each
+    generation reaches execution, and record per-policy rejection flags."""
+    study = replace(cfg, policy=GuardPolicy(filter="off", execution=True))
     outcomes = []
     for case in cases:
-        example = case.example
-        outcome = PipelineOutcome(
-            question_id=example.id, dataset=example.dataset, question=example.question,
-            llm_rejected=case.llm_rejected,
-        )
-        try:
-            gold = _gold_answers(example, cfg)
-        except KgqaError as exc:
-            outcome.error = f"gold query failed: {exc}"
-            gold = AnswerSet.empty()
-        outcome.gold_answers = tuple(gold.sorted_terms())
-
-        entity_candidates, predicate_candidates, entity_sel, predicate_sel = \
-            _select_candidates(example, cfg)
-        outcome.entity_candidates = entity_candidates.hits
-        outcome.predicate_candidates = predicate_candidates.hits
-        outcome.entities_selected = entity_sel.selected
-        predicates_selected = (case.predicate_override if case.predicate_override
-                               is not None else predicate_sel.selected)
-        outcome.predicates_selected = predicates_selected
-
+        case_cfg = study
         if case.query_override is not None:
-            query_text = case.query_override
-        else:
-            try:
-                request = GenerationRequest(
-                    question=example.question,
-                    entities=_candidate_records(cfg.entity_index, entity_sel.selected),
-                    predicates=_candidate_records(cfg.predicate_index,
-                                                  predicate_sel.selected),
-                    question_id=example.id,
-                )
-                query_text = generate(request, cfg.generator).query_text
-            except GenerationError as exc:
-                query_text = None
-                outcome.error = f"generation failed: {exc}"
-        outcome.query_text = query_text
-
+            case_cfg = replace(study, generator=GoldPassthrough(case.query_override))
+        outcome = run_example(case.example, case_cfg)
+        if case.predicate_override is not None:
+            outcome.predicates_selected = case.predicate_override
+        outcome.llm_rejected = case.llm_rejected
         outcome.filter_rejected = check_entity_mismatch(
-            cfg.snapshot, set(entity_sel.selected), set(predicates_selected))
-
-        predicted = AnswerSet.empty()
-        if query_text is None:
-            outcome.execution_rejected = True
-        else:
-            try:
-                predicted = cfg.executor.run(query_text)
-                outcome.execution_rejected = not predicted.terms
-            except (QueryParseError, ExecutionError) as exc:
-                outcome.execution_rejected = True
-                outcome.verdict = GuardVerdict(False, STAGE_PARSE
-                                               if isinstance(exc, QueryParseError)
-                                               else "execution-error", str(exc))
-        outcome.answers = tuple(predicted.sorted_terms())
-        outcome.metrics = score(gold, predicted)
+            cfg.snapshot, set(outcome.entities_selected), set(outcome.predicates_selected))
+        outcome.execution_rejected = not outcome.verdict.accepted
         outcome.correct = outcome.metrics.acc_at_1 == 1
         outcomes.append(outcome)
     return outcomes

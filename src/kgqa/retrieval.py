@@ -65,8 +65,6 @@ PRESETS: dict[str, DatasetPreset] = {
     "pat": DatasetPreset(Bm25Params(1.0, 0.7), Bm25Params(0.1, 0.01)),
 }
 
-DEFAULT_TOP_K = (10, 100)
-
 
 @dataclass(frozen=True)
 class CandidateSet:

@@ -182,6 +182,16 @@ class TestExitCodes:
             "--query", "ASK { wd:Q1 wdt:P1 wd:Q2 }", "--out", str(tmp_path / "o")])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("command", ["index-sweep", "reject-report",
+                                         "augment-train"])
+    def test_empty_split_is_config_error(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [command, "--toy", "--split", "nosuch",
+                                     "--out", str(out)])
+        assert result.exit_code == 2
+        assert "kind=ConfigError" in result.output
+        assert not out.exists()
+
     def test_unknown_preset_is_config_error(self, runner, tmp_path):
         result = runner.invoke(cli, ["index-build", "--toy", "--preset", "nope",
                                      "--out", str(tmp_path / "out")])
@@ -197,9 +207,11 @@ class TestDeterminism:
                          "--seed", "7", "--out", str(out))
             assert result.exit_code == 0
             outputs.append(((out / "report.csv").read_bytes(),
-                            (out / "trace.jsonl").read_bytes()))
+                            (out / "trace.jsonl").read_bytes(),
+                            (out / "gold_cache.json").read_bytes()))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
+        assert outputs[0][2] == outputs[1][2]
 
     def test_augment_byte_identical(self, runner, tmp_path):
         blobs = []

@@ -1,5 +1,7 @@
 """End-to-end pipeline runs over the bundled toy data."""
 
+from dataclasses import replace
+
 import pytest
 
 from kgqa import data as toy_data
@@ -119,11 +121,11 @@ class TestRejectionStudy:
         cases = build_rejection_suite(toy_examples, toy_snapshot, 0.5, seed=3)
         assert sum(case.corrupted for case in cases) == 10
         outcomes = run_rejection_study(cases, cfg)
-        corrupted_ids = {case.example.id for case in cases if case.corrupted}
-        for outcome in outcomes:
-            if outcome.question_id in corrupted_ids:
+        for case, outcome in zip(cases, outcomes):
+            if case.corrupted:
                 assert not outcome.correct
-                assert outcome.execution_rejected or outcome.filter_rejected
+                assert outcome.predicates_selected == case.predicate_override
+                assert outcome.filter_rejected
             else:
                 assert outcome.correct
                 assert not outcome.execution_rejected
@@ -144,3 +146,45 @@ class TestRejectionStudy:
         second = build_rejection_suite(toy_examples, toy_snapshot, 0.5, seed=9)
         assert [c.corrupted for c in first] == [c.corrupted for c in second]
         assert [c.query_override for c in first] == [c.query_override for c in second]
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_fraction_outside_unit_interval(self, toy_snapshot, toy_examples, fraction):
+        with pytest.raises(ValueError):
+            build_rejection_suite(toy_examples, toy_snapshot, fraction, seed=0)
+
+    def test_failed_generation_is_execution_rejected(self, toy_snapshot, toy_examples):
+        examples = toy_examples[:2]
+        examples[0].gold_predicates = set()  # empty selection: the template cannot fill
+        cfg = oracle_config(toy_snapshot, examples)
+        cfg.generator = TemplateGenerator()
+        cases = build_rejection_suite(examples, toy_snapshot, 0.0)
+        failed, generated = run_rejection_study(cases, cfg)
+        assert failed.query_text is None
+        assert failed.verdict.stage == "parse"
+        assert failed.execution_rejected
+        assert failed.error is None
+        assert not failed.correct
+        assert generated.verdict.accepted
+        assert not generated.execution_rejected
+
+    @pytest.mark.parametrize("generator", ["gold-passthrough", "template"])
+    def test_uncorrupted_case_matches_run_example(self, toy_snapshot, toy_examples,
+                                                  generator):
+        cfg = oracle_config(toy_snapshot, toy_examples)
+        if generator == "template":
+            cfg.generator = TemplateGenerator()
+        unfiltered = replace(cfg, policy=GuardPolicy(filter="off", execution=True))
+        cases = build_rejection_suite(toy_examples, toy_snapshot, 0.5, seed=3)
+        outcomes = run_rejection_study(cases, cfg)
+        clean = [(case, outcome) for case, outcome in zip(cases, outcomes)
+                 if not case.corrupted]
+        assert len(clean) == 10
+        for case, outcome in clean:
+            expected = run_example(case.example, unfiltered)
+            assert outcome.entities_selected == expected.entities_selected
+            assert outcome.predicates_selected == expected.predicates_selected
+            assert outcome.query_text == expected.query_text
+            assert outcome.verdict == expected.verdict
+            assert outcome.answers == expected.answers
+            assert outcome.metrics == expected.metrics
+            assert outcome.execution_rejected == (not expected.verdict.accepted)

@@ -14,7 +14,6 @@ from kgqa.retrieval import (
     INDEX_VERSION,
     Bm25Index,
     Bm25Params,
-    DEFAULT_TOP_K,
     PRESETS,
     recall_at_k,
     sweep,
@@ -87,9 +86,6 @@ class TestParams:
         assert PRESETS["rubq2"].predicate == Bm25Params(2.0, 0.01)
         assert PRESETS["pat"].entity == Bm25Params(1.0, 0.7)
         assert PRESETS["pat"].predicate == Bm25Params(0.1, 0.01)
-
-    def test_standard_cutoffs(self):
-        assert DEFAULT_TOP_K == (10, 100)
 
 
 class TestTokenize:
