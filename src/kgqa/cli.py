@@ -570,6 +570,9 @@ def make_splits(dataset_specs, held_out, distractors, seed, toy, entity_file,
             raise ConfigError(f"--dataset must be name=path, got {spec!r}")
         datasets[name] = list(load_dataset(path).examples)
     train, test = make_generalization_splits(datasets, held_out)
+    for side, examples in (("train", train), ("test", test)):
+        if not examples:
+            raise ConfigError(f"no examples on the {side} side of the split")
     entity_index, predicate_index = _indexes(snapshot, cfg, preset)
     out_path = _outdir(out)
     report = augment_training_pairs(train, entity_index, predicate_index,

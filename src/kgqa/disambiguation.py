@@ -70,7 +70,7 @@ def parse_selection(raw_response: str, offered_ids) -> list[str]:
     seen = set()
     selected = []
     for tok in _extract_tokens(raw_response):
-        if ANY_ID_RE.match(tok) and tok in offered and tok not in seen:
+        if ANY_ID_RE.fullmatch(tok) and tok in offered and tok not in seen:
             seen.add(tok)
             selected.append(tok)
     return selected
@@ -134,7 +134,7 @@ class RemoteReasoner:
             selected = []
             off_list = 0
             for tok in tokens:
-                if not ANY_ID_RE.match(tok):
+                if not ANY_ID_RE.fullmatch(tok):
                     continue
                 if tok not in offered_set:
                     off_list += 1

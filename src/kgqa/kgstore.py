@@ -11,7 +11,10 @@ Unknown JSON keys are ignored. Entity degrees are always recomputed from
 the triples; degree values present in the input are discarded.
 """
 
+import gc
 import json
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
@@ -105,11 +108,24 @@ def _read_jsonl(path, required, offenders):
     return rows
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector: a snapshot's objects hold no reference
+    cycles, so collections triggered while they are allocated free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
     """Load and cross-validate a snapshot; raises LoadError on any defect."""
     offenders: list[tuple[str, int, str]] = []
-
-    entities: dict[str, EntityRecord] = {}
+    entities: dict[str, tuple] = {}  # records are built once degrees are known
     for lineno, obj in _read_jsonl(entity_file, ("id", "label"), offenders):
         eid = str(obj["id"])
         if not is_entity_id(eid):
@@ -122,12 +138,8 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
         if not isinstance(aliases, list):
             offenders.append((str(entity_file), lineno, "aliases must be an array"))
             continue
-        entities[eid] = EntityRecord(
-            id=eid,
-            label=str(obj["label"]),
-            description=str(obj.get("description") or ""),
-            aliases=tuple(str(a) for a in aliases),
-        )
+        entities[eid] = (eid, str(obj["label"]), str(obj.get("description") or ""),
+                         tuple(map(str, aliases)))
 
     predicates: dict[str, PredicateRecord] = {}
     for lineno, obj in _read_jsonl(predicate_file, ("id", "label"), offenders):
@@ -141,103 +153,91 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
         if not str(obj["label"]):
             offenders.append((str(predicate_file), lineno, "empty label"))
             continue
-        predicates[pid] = PredicateRecord(
-            id=pid, label=str(obj["label"]), description=str(obj.get("description") or "")
-        )
+        predicates[pid] = PredicateRecord(id=pid, label=str(obj["label"]),
+                                          description=str(obj.get("description") or ""))
 
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
     with open(triple_file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                offenders.append((str(triple_file), lineno,
-                                  f"expected 3 tab-separated columns, got {len(cols)}"))
-                continue
-            s, p, o = cols
-            if s not in entities:
-                offenders.append((str(triple_file), lineno, f"unknown subject entity {s}"))
-                continue
-            if p not in predicates:
-                offenders.append((str(triple_file), lineno, f"unknown predicate {p}"))
-                continue
-            if is_entity_id(o) and o not in entities:
-                offenders.append((str(triple_file), lineno, f"unknown object entity {o}"))
-                continue
-            triple = Triple(s, p, o)
-            if triple not in seen:
-                seen.add(triple)
-                triples.append(triple)
-
-    if offenders:
-        raise LoadError("snapshot load failed", offenders, total=len(offenders))
-    return _assemble(entities, predicates, triples)
+        # Every catalog id passed is_entity_id: the catalog is also ``objects``.
+        return _build(_tsv_rows(fh, str(triple_file), offenders), str(triple_file),
+                      entities, entities, predicates, offenders, "snapshot load failed")
 
 
+def _tsv_rows(fh, path, offenders):
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        cols = line.rstrip("\n").split("\t")
+        if len(cols) != 3:
+            offenders.append((path, lineno, f"expected 3 tab-separated columns, got {len(cols)}"))
+            continue
+        yield lineno, cols
+
+
+@_collector_paused()
 def snapshot_from_records(entity_records: Iterable[EntityRecord],
                           predicate_records: Iterable[PredicateRecord],
                           triples: Iterable[tuple]) -> Snapshot:
     """Build a snapshot directly from records (programmatic construction)."""
-    entities = {r.id: r for r in entity_records}
+    entities = {r.id: (r.id, r.label, r.description, r.aliases) for r in entity_records}
     predicates = {r.id: r for r in predicate_records}
-    offenders = []
-    deduped: list[Triple] = []
-    seen: set[Triple] = set()
-    for lineno, raw in enumerate(triples, start=1):
-        t = Triple(*raw)
-        if t.subject not in entities:
-            offenders.append(("<records>", lineno, f"unknown subject entity {t.subject}"))
+    # A record id not shaped like an entity id is a literal as an object.
+    objects = {e: f for e, f in entities.items() if is_entity_id(e)}
+    return _build(enumerate((Triple(*t) for t in triples), start=1), "<records>",
+                  entities, objects, predicates, [], "snapshot construction failed")
+
+
+def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
+           predicates: dict[str, PredicateRecord], offenders, failure) -> Snapshot:
+    """Validate, dedupe and index (lineno, (s, p, o)) rows in one pass.
+
+    ``entities`` maps ids to (id, label, description, aliases). An object in
+    ``objects`` is an entity, any other Q-shaped object an unknown entity, the
+    rest literals. Triples hold the catalogs' own id strings. Raises
+    LoadError(failure) if ``offenders`` is not empty at the end.
+    """
+    triples: dict[Triple, None] = {}
+    incoming, outgoing = defaultdict(set), defaultdict(set)  # entity -> predicates
+    by_subject: defaultdict[str, list[Triple]] = defaultdict(list)
+    by_object: defaultdict[str, list[Triple]] = defaultdict(list)
+    by_predicate: defaultdict[str, list[Triple]] = defaultdict(list)
+    for lineno, (s, p, o) in rows:
+        subject = entities.get(s)
+        if subject is None:
+            offenders.append((source, lineno, f"unknown subject entity {s}"))
             continue
-        if t.predicate not in predicates:
-            offenders.append(("<records>", lineno, f"unknown predicate {t.predicate}"))
+        predicate = predicates.get(p)
+        if predicate is None:
+            offenders.append((source, lineno, f"unknown predicate {p}"))
             continue
-        if is_entity_id(t.object) and t.object not in entities:
-            offenders.append(("<records>", lineno, f"unknown object entity {t.object}"))
+        s, p, obj = subject[0], predicate.id, objects.get(o)
+        # A self-loop (e, r, e) counts r as incoming only.
+        if obj is not None:
+            o = obj[0]
+            incoming[o].add(p)
+        elif is_entity_id(o):
+            offenders.append((source, lineno, f"unknown object entity {o}"))
             continue
-        if t not in seen:
-            seen.add(t)
-            deduped.append(t)
+        if obj is None or s != o:
+            outgoing[s].add(p)
+        t = Triple(s, p, o)
+        if t not in triples:
+            triples[t] = None
+            by_subject[s].append(t)
+            by_object[o].append(t)
+            by_predicate[p].append(t)
     if offenders:
-        raise LoadError("snapshot construction failed", offenders, total=len(offenders))
-    return _assemble(entities, predicates, deduped)
+        raise LoadError(failure, offenders, total=len(offenders))
 
-
-def _assemble(entities: dict[str, EntityRecord], predicates: dict[str, PredicateRecord],
-              triples: list[Triple]) -> Snapshot:
-    incoming: dict[str, set[str]] = {e: set() for e in entities}
-    outgoing: dict[str, set[str]] = {e: set() for e in entities}
-    by_subject: dict[str, list[Triple]] = {}
-    by_object: dict[str, list[Triple]] = {}
-    by_predicate: dict[str, list[Triple]] = {}
-    for t in triples:
-        # Object side first, subject side only when distinct: a self-loop
-        # (e, r, e) counts r as incoming only.
-        if is_entity_id(t.object):
-            incoming[t.object].add(t.predicate)
-            if t.subject != t.object:
-                outgoing[t.subject].add(t.predicate)
-        else:
-            outgoing[t.subject].add(t.predicate)
-        by_subject.setdefault(t.subject, []).append(t)
-        by_object.setdefault(t.object, []).append(t)
-        by_predicate.setdefault(t.predicate, []).append(t)
-
-    profiles = {
-        e: EntityRelationProfile(e, frozenset(incoming[e]), frozenset(outgoing[e]))
-        for e in entities
-    }
-    entities = {
-        e: EntityRecord(
-            id=rec.id, label=rec.label, description=rec.description, aliases=rec.aliases,
-            degree=len(incoming[e] | outgoing[e]),
-        )
-        for e, rec in entities.items()
-    }
+    records: dict[str, EntityRecord] = {}
+    profiles: dict[str, EntityRelationProfile] = {}
+    for e, fields in entities.items():
+        # frozenset(_EMPTY) is _EMPTY: untouched entities share it.
+        inc = frozenset(incoming.get(e, _EMPTY))
+        out = frozenset(outgoing.get(e, _EMPTY))
+        profiles[e] = EntityRelationProfile(e, inc, out)
+        records[e] = EntityRecord(*fields, degree=len(inc | out))
     return Snapshot(
-        entities=entities,
+        entities=records,
         predicates=predicates,
         triples=tuple(triples),
         profiles=profiles,

@@ -1,5 +1,6 @@
 """Shared fixtures: snapshots, dataset files, and a local fake HTTP server."""
 
+import gc
 import json
 import threading
 from dataclasses import dataclass, field
@@ -10,6 +11,15 @@ import pytest
 
 from kgqa import data as toy_data
 from kgqa.kgstore import load_snapshot
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test after which the cyclic garbage collector is off."""
+    yield
+    if not gc.isenabled():
+        gc.enable()  # so that only the offending test is reported
+        pytest.fail("test left the garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -192,6 +192,27 @@ class TestExitCodes:
         assert "kind=ConfigError" in result.output
         assert not out.exists()
 
+    # "test" is the toy questions.jsonl (test split only), "train" the toy
+    # questions_train.jsonl (train split only); b is held out.
+    @pytest.mark.parametrize("files, empty_side", [
+        ({"a": "test", "b": "train"}, "train"),
+        ({"b": "test"}, "train"),
+        ({"a": "train", "b": "train"}, "test"),
+    ], ids=["both-empty", "train-empty", "test-empty"])
+    def test_make_splits_empty_side_is_config_error(self, runner, tmp_path, files,
+                                                    empty_side):
+        from kgqa import data
+        paths = {"test": data.toy_dataset_file(), "train": data.toy_train_file()}
+        out = tmp_path / "out"
+        args = ["make-splits", "--toy", "--held-out", "b", "--out", str(out)]
+        for name, kind in files.items():
+            args += ["--dataset", f"{name}={paths[kind]}"]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 2
+        assert "kind=ConfigError" in result.output
+        assert f"no examples on the {empty_side} side" in result.output
+        assert not out.exists()
+
     def test_unknown_preset_is_config_error(self, runner, tmp_path):
         result = runner.invoke(cli, ["index-build", "--toy", "--preset", "nope",
                                      "--out", str(tmp_path / "out")])

@@ -1,5 +1,6 @@
 """Snapshot loading, relation profiles, and degree pruning."""
 
+import gc
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from kgqa.errors import LoadError, NotFoundError
 from kgqa.kgstore import (
     EntityRecord,
     PredicateRecord,
+    Triple,
     get_entity_relations,
     load_snapshot,
     prune_by_degree,
@@ -88,6 +90,18 @@ class TestLoadSnapshot:
             load_snapshot(*files)
         assert "3 tab-separated" in str(err.value)
 
+    def test_id_with_trailing_newline_is_bad(self, snapshot_files):
+        files = snapshot_files(
+            [], [], [],
+            entity_lines=['{"id": "Q1\\n", "label": "x"}', '{"id": "Q2", "label": "y"}'])
+        files[1].write_text('{"id": "P7\\n", "label": "r"}\n', encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            load_snapshot(*files)
+        assert err.value.offenders == [
+            (str(files[0]), 1, "bad entity id 'Q1\\n'"),
+            (str(files[1]), 1, "bad predicate id 'P7\\n'"),
+        ]
+
     def test_literal_objects_kept_verbatim(self, snapshot_files):
         files = snapshot_files(
             [("Q1", "one")], [("P1", "rel")],
@@ -123,6 +137,133 @@ class TestLoadSnapshot:
         assert a.triples == b.triples
         assert a.profiles == b.profiles
         assert a.entities == b.entities
+
+
+def random_rows(rng):
+    """Catalog and triple rows with duplicates, self-loops, literal objects
+    and (usually) isolated entities."""
+    n_entities, n_predicates = rng.randint(1, 10), rng.randint(1, 4)
+    entities = [EntityRecord(f"Q{i}", f"e{i}", rng.choice(["", f"d{i}"]),
+                             tuple(f"a{i}.{j}" for j in range(rng.randint(0, 2))))
+                for i in range(1, n_entities + 1)]
+    predicates = [PredicateRecord(f"P{i}", f"p{i}") for i in range(1, n_predicates + 1)]
+    literals = ["lit", " 1968-01-01 ", "42", "Q1x", "P1"]
+    triples = []
+    for _ in range(rng.randint(0, 40)):
+        s = f"Q{rng.randint(1, n_entities)}"
+        o = rng.choice([s, f"Q{rng.randint(1, n_entities)}", rng.choice(literals)])
+        triples.append((s, f"P{rng.randint(1, n_predicates)}", o))
+    triples += rng.sample(triples, len(triples) // 3)
+    return entities, predicates, triples
+
+
+def write_rows(files, entities, predicates, triples):
+    return files(
+        [(e.id, e.label, e.description, list(e.aliases)) for e in entities],
+        [(p.id, p.label, p.description) for p in predicates], triples)
+
+
+def assert_same_snapshot(a, b):
+    """Equal field by field, dict and tuple order included."""
+    for name in ("entities", "predicates", "profiles", "_by_subject", "_by_object",
+                 "_by_predicate"):
+        assert list(getattr(a, name).items()) == list(getattr(b, name).items()), name
+    assert a.triples == b.triples
+
+
+class TestLoaderEquivalence:
+    def test_load_equals_records_on_random_graphs(self, snapshot_files):
+        rng = random.Random(11)
+        for _ in range(40):
+            entities, predicates, triples = random_rows(rng)
+            loaded = load_snapshot(*write_rows(snapshot_files, entities, predicates, triples))
+            built = snapshot_from_records(entities, predicates, triples)
+            assert_same_snapshot(loaded, built)
+            assert list(loaded.triples) == list(dict.fromkeys(Triple(*t) for t in triples))
+            for rec in entities:
+                expected_in, expected_out = brute_force_profile(triples, rec.id)
+                assert loaded.profiles[rec.id].incoming == expected_in
+                assert loaded.profiles[rec.id].outgoing == expected_out
+                assert loaded.entities[rec.id].degree == len(expected_in | expected_out)
+            objects = {t[2] for t in triples} | {"Q99", "absent"}
+            for s in [None, *loaded.entities]:
+                for p in [None, *loaded.predicates]:
+                    for o in [None, *objects]:
+                        expected = tuple(t for t in loaded.triples
+                                         if s in (None, t.subject) and p in (None, t.predicate)
+                                         and o in (None, t.object))
+                        assert loaded.match(s, p, o) == expected
+                        assert built.match(s, p, o) == expected
+
+    def test_triples_hold_catalog_id_strings(self, snapshot_files):
+        entities, predicates, triples = random_rows(random.Random(3))
+        for snap in (load_snapshot(*write_rows(snapshot_files, entities, predicates, triples)),
+                     snapshot_from_records(entities, predicates, triples)):
+            entity_keys = {k: k for k in snap.entities}
+            predicate_keys = {k: k for k in snap.predicates}
+            assert snap.triples
+            for t in snap.triples:
+                assert t.subject is entity_keys[t.subject]
+                assert t.predicate is predicate_keys[t.predicate]
+                assert t.object not in entity_keys or t.object is entity_keys[t.object]
+            assert all(rec.id is k for k, rec in snap.entities.items())
+
+    def test_non_entity_record_id_is_a_literal_object(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            entities, predicates, triples = random_rows(rng)
+            triples.append(("Q1", "P1", "X1"))
+            plain = snapshot_from_records(entities, predicates, triples)
+            with_x = snapshot_from_records([*entities, EntityRecord("X1", "x")], predicates,
+                                           triples)
+            assert with_x.triples == plain.triples
+            assert with_x._by_object == plain._by_object
+            assert with_x.profiles["X1"].incoming == frozenset()
+            assert with_x.entities["X1"].degree == 0
+            del with_x.entities["X1"], with_x.profiles["X1"]
+            assert_same_snapshot(with_x, plain)
+
+
+class TestCollectorState:
+    @pytest.fixture
+    def build(self, snapshot_files):
+        def build(kind, valid):
+            triples = [("Q1", "P1", "Q2" if valid else "Q9")]
+            if kind == "records":
+                return snapshot_from_records(
+                    [EntityRecord("Q1", "a"), EntityRecord("Q2", "b")],
+                    [PredicateRecord("P1", "r")], triples)
+            return load_snapshot(*snapshot_files([("Q1", "a"), ("Q2", "b")], [("P1", "r")],
+                                                 triples))
+        return build
+
+    @pytest.mark.parametrize("kind", ["load", "records"])
+    @pytest.mark.parametrize("valid", [True, False], ids=["ok", "load-error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_collector_state_is_restored(self, build, kind, valid, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            if valid:
+                build(kind, valid)
+            else:
+                with pytest.raises(LoadError):
+                    build(kind, valid)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+    def test_collector_paused_while_building(self):
+        seen = []
+
+        def triples():
+            seen.append(gc.isenabled())
+            yield ("Q1", "P1", "lit")
+
+        snapshot_from_records([EntityRecord("Q1", "a")], [PredicateRecord("P1", "r")],
+                              triples())
+        assert seen == [False]
+        assert gc.isenabled()
 
 
 class TestEntityRelations:
