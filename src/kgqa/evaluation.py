@@ -2,7 +2,8 @@
 
 Datasets are JSON Lines with keys id, question, sparql, entities, split
 (plus optional predicates, dataset, answers). Reports are macro-averaged
-per dataset; every question also leaves a JSON trace line. Gold answer
+per dataset over the questions whose gold query ran; the others are
+counted apart. Every question also leaves a JSON trace line. Gold answer
 sets come from executing the gold query once and are cached.
 """
 
@@ -100,6 +101,7 @@ class DatasetReportRow:
     acc_at_1: float
     rejected_pct: float
     stage_tallies: dict[str, int]
+    n_gold_error: int = 0  # questions left out of f1 and acc_at_1
 
 
 @dataclass(frozen=True)
@@ -124,8 +126,9 @@ def evaluate_end_to_end(examples: Sequence[QaExample], cfg: PipelineConfig) -> E
     for dataset in sorted(by_dataset):
         group = by_dataset[dataset]
         n = len(group)
-        f1 = sum(o.metrics.f1 for o in group) / n
-        acc = sum(o.metrics.acc_at_1 for o in group) / n
+        scored = [o for o in group if not o.gold_error]
+        f1 = sum(o.metrics.f1 for o in scored) / len(scored) if scored else 0.0
+        acc = sum(o.metrics.acc_at_1 for o in scored) / len(scored) if scored else 0.0
         rejected = [o for o in group if o.verdict is not None and not o.verdict.accepted]
         tallies = {stage: 0 for stage in STAGE_COLUMNS}
         for outcome in rejected:
@@ -134,6 +137,7 @@ def evaluate_end_to_end(examples: Sequence[QaExample], cfg: PipelineConfig) -> E
         rows.append(DatasetReportRow(
             dataset=dataset, n=n, f1=f1, acc_at_1=acc,
             rejected_pct=100.0 * len(rejected) / n, stage_tallies=tallies,
+            n_gold_error=n - len(scored),
         ))
     return EvalReport(rows=tuple(rows), outcomes=tuple(outcomes))
 
@@ -141,6 +145,7 @@ def evaluate_end_to_end(examples: Sequence[QaExample], cfg: PipelineConfig) -> E
 def write_report_csv(report: EvalReport, path) -> None:
     header = ["dataset", "n", "f1", "acc_at_1", "rejected_pct"]
     header += [f"n_{stage}" for stage in STAGE_COLUMNS]
+    header.append("n_gold_error")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -149,6 +154,7 @@ def write_report_csv(report: EvalReport, path) -> None:
                 row.dataset, row.n, f"{row.f1:.6f}", f"{row.acc_at_1:.6f}",
                 f"{row.rejected_pct:.2f}",
                 *[row.stage_tallies[stage] for stage in STAGE_COLUMNS],
+                row.n_gold_error,
             ])
 
 

@@ -136,7 +136,8 @@ def rejection_report(outcomes) -> list[dict]:
     ``execution_rejected`` and ``filter_rejected`` (see the rejection
     study runner). For every policy the report gives the share of
     incorrect generations it rejected, plus the false-rejection rate over
-    correct generations.
+    correct generations. An outcome whose ``correct`` is None (its gold
+    query failed) is in neither group.
     """
     by_dataset: dict[str, list] = {}
     for outcome in outcomes:
@@ -144,7 +145,7 @@ def rejection_report(outcomes) -> list[dict]:
     rows = []
     for dataset in sorted(by_dataset):
         group = by_dataset[dataset]
-        incorrect = [o for o in group if not o.correct]
+        incorrect = [o for o in group if o.correct is False]
         correct = [o for o in group if o.correct]
         flags = {
             "llm_rejection": lambda o: bool(o.llm_rejected),

@@ -8,10 +8,12 @@ against the ground-truth correctness of the generation.
 """
 
 import random
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from kgqa.disambiguation import disambiguate
+from kgqa.disambiguation import RemoteReasoner, disambiguate
 from kgqa.errors import KgqaError
 from kgqa.generation import GenerationRequest, GoldPassthrough, generate
 from kgqa.guard import (
@@ -23,6 +25,7 @@ from kgqa.guard import (
 )
 from kgqa.metrics import MetricRecord, score
 from kgqa.sparql.answers import AnswerSet
+from kgqa.sparql.remote import RemoteExecutor
 
 
 @dataclass
@@ -56,6 +59,9 @@ class PipelineOutcome:
     metrics: Optional[MetricRecord] = None
     llm_rejected: bool = False
     error: Optional[str] = None
+    # The gold query failed: ``error`` says why, ``metrics`` stays None and
+    # the question is left out of the averages.
+    gold_error: bool = False
     # Rejection-study fields (None outside study mode).
     correct: Optional[bool] = None
     execution_rejected: Optional[bool] = None
@@ -76,27 +82,68 @@ def _gold_answers(example, cfg) -> AnswerSet:
     return answers
 
 
+def _stage(pool, fn, *args, **kwargs):
+    """Start one stage and return a thunk that gives its result.
+
+    With a pool the stage runs there; without one it runs now, on the
+    caller's thread. Either way its error is raised when the thunk is
+    called, so the caller sees failures in the order it reads results.
+    """
+    if pool is not None:
+        return pool.submit(fn, *args, **kwargs).result
+    try:
+        result = fn(*args, **kwargs)
+    except Exception as exc:
+        error = exc  # ``exc`` itself is unbound when the handler ends
+
+        def reraise():
+            raise error
+        return reraise
+    return lambda: result
+
+
 def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
+    """Run one question through every stage and score it.
+
+    The gold query and the two disambiguations need nothing from each
+    other. When their backends are remote they are in flight together:
+    the gold query and predicate linking on a per-question pool, entity
+    linking on the caller's thread. Local backends run on the caller's
+    thread, where a handoff to a pool would only add cost. Results are
+    read in the order gold, entity, predicate, and all of them before
+    generation starts.
+    """
     outcome = PipelineOutcome(
         question_id=example.id, dataset=example.dataset, question=example.question,
     )
-    try:
-        gold = _gold_answers(example, cfg)
-    except KgqaError as exc:
-        outcome.error = f"gold query failed: {exc}"
-        gold = AnswerSet.empty()
-    outcome.gold_answers = tuple(gold.sorted_terms())
-
-    entity_candidates = cfg.entity_index.search(example.question, cfg.k)
-    predicate_candidates = cfg.predicate_index.search(example.question, cfg.k)
-    entity_sel = disambiguate(
-        example.question, entity_candidates, "entity", cfg.disambiguator,
-        catalog=cfg.entity_index.by_id, gold=example.gold_entities,
-    )
-    predicate_sel = disambiguate(
-        example.question, predicate_candidates, "predicate", cfg.disambiguator,
-        catalog=cfg.predicate_index.by_id, gold=example.gold_predicates,
-    )
+    remote_gold = isinstance(cfg.executor, RemoteExecutor)
+    remote_links = isinstance(cfg.disambiguator, RemoteReasoner)
+    overlap = remote_gold or remote_links
+    with ThreadPoolExecutor(max_workers=2) if overlap else nullcontext() as pool:
+        gold_answers = _stage(pool if remote_gold else None, _gold_answers, example, cfg)
+        entity_candidates = cfg.entity_index.search(example.question, cfg.k)
+        predicate_candidates = cfg.predicate_index.search(example.question, cfg.k)
+        link_pool = pool if remote_links else None
+        predicate_link = _stage(
+            link_pool, disambiguate, example.question, predicate_candidates, "predicate",
+            cfg.disambiguator, catalog=cfg.predicate_index.by_id,
+            gold=example.gold_predicates,
+        )
+        entity_link = _stage(
+            None, disambiguate, example.question, entity_candidates, "entity",
+            cfg.disambiguator, catalog=cfg.entity_index.by_id,
+            gold=example.gold_entities,
+        )
+        try:
+            gold = gold_answers()
+        except KgqaError as exc:
+            outcome.error = f"gold query failed: {exc}"
+            outcome.gold_error = True
+            gold = None
+        entity_sel = entity_link()
+        predicate_sel = predicate_link()
+    if gold is not None:
+        outcome.gold_answers = tuple(gold.sorted_terms())
     outcome.entity_candidates = entity_candidates.hits
     outcome.predicate_candidates = predicate_candidates.hits
     outcome.entities_selected = entity_sel.selected
@@ -124,7 +171,8 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
     outcome.query_text = verdict.query_text
     predicted = verdict.answers if verdict.accepted else AnswerSet.empty()
     outcome.answers = tuple(predicted.sorted_terms())
-    outcome.metrics = score(gold, predicted)
+    if gold is not None:  # without gold answers there is nothing to score against
+        outcome.metrics = score(gold, predicted)
     return outcome
 
 
@@ -218,6 +266,6 @@ def run_rejection_study(cases, cfg: PipelineConfig) -> list[PipelineOutcome]:
         outcome.filter_rejected = check_entity_mismatch(
             cfg.snapshot, set(outcome.entities_selected), set(outcome.predicates_selected))
         outcome.execution_rejected = not outcome.verdict.accepted
-        outcome.correct = outcome.metrics.acc_at_1 == 1
+        outcome.correct = None if outcome.gold_error else outcome.metrics.acc_at_1 == 1
         outcomes.append(outcome)
     return outcomes

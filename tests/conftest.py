@@ -3,8 +3,10 @@
 import gc
 import json
 import threading
+import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, Optional
 from urllib.parse import parse_qs, urlparse
 
 import pytest
@@ -20,6 +22,22 @@ def collector_left_enabled():
     if not gc.isenabled():
         gc.enable()  # so that only the offending test is reported
         pytest.fail("test left the garbage collector disabled")
+
+
+def _live_non_daemon_threads():
+    return {t for t in threading.enumerate() if not t.daemon and t.is_alive()}
+
+
+@pytest.fixture(autouse=True)
+def threads_left_running():
+    """Fail a test that ends with more live non-daemon threads than it
+    started with, such as a worker pool that was never shut down."""
+    before = _live_non_daemon_threads()
+    yield
+    after = _live_non_daemon_threads()
+    if len(after) > len(before):
+        names = sorted(t.name for t in after - before)
+        pytest.fail(f"test left non-daemon threads running: {names}")
 
 
 @pytest.fixture(scope="session")
@@ -76,9 +94,15 @@ class RecordedRequest:
 
 @dataclass
 class FakeHttpServer:
+    """Replies from a FIFO queue, or, when ``responder`` is set, from
+    ``responder(request) -> (status, payload)``, which may look at the
+    request's content, block or sleep, so concurrent requests get
+    deterministic replies."""
+
     requests: list = field(default_factory=list)
     _queue: list = field(default_factory=list)
     default_response: tuple = (200, {})
+    responder: Optional[Callable] = None
 
     def start(self):
         outer = self
@@ -91,10 +115,13 @@ class FakeHttpServer:
                 parsed = urlparse(self.path)
                 length = int(self.headers.get("Content-Length") or 0)
                 body = self.rfile.read(length).decode("utf-8") if length else ""
-                outer.requests.append(RecordedRequest(
+                request = RecordedRequest(
                     self.command, parsed.path, parse_qs(parsed.query),
-                    {k.lower(): v for k, v in self.headers.items()}, body))
-                if outer._queue:
+                    {k.lower(): v for k, v in self.headers.items()}, body)
+                outer.requests.append(request)
+                if outer.responder is not None:
+                    status, payload = outer.responder(request)
+                elif outer._queue:
                     status, payload = outer._queue.pop(0)
                 else:
                     status, payload = outer.default_response
@@ -104,11 +131,14 @@ class FakeHttpServer:
                     data = payload.encode("utf-8")
                 else:
                     data = json.dumps(payload).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+                except ConnectionError:
+                    pass  # the client gave up waiting (a timeout case)
 
             do_GET = _handle
             do_POST = _handle
@@ -128,6 +158,24 @@ class FakeHttpServer:
 
     def enqueue_chat(self, content, status=200):
         self.enqueue(status, {"choices": [{"message": {"content": content}}]})
+
+    def inject_fault(self, fault, delay=0.5):
+        """Answer every request with one fault: "timeout" (a reply that
+        starts only after ``delay`` seconds), "truncated-json" (a body cut
+        short) or "5xx-burst" (HTTP 503)."""
+        if fault == "timeout":
+            def respond(request):
+                time.sleep(delay)
+                return 200, {}
+        elif fault == "truncated-json":
+            def respond(request):
+                return 200, '{"choices": [{"message": {"content": "<answer>Q'
+        elif fault == "5xx-burst":
+            def respond(request):
+                return 503, "overloaded"
+        else:
+            raise ValueError(f"unknown fault {fault!r}")
+        self.responder = respond
 
     def close(self):
         self._server.shutdown()

@@ -182,6 +182,25 @@ class TestExitCodes:
             "--query", "ASK { wd:Q1 wdt:P1 wd:Q2 }", "--out", str(tmp_path / "o")])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("fault", ["timeout", "truncated-json", "5xx-burst"])
+    def test_reasoner_fault_is_service_error(self, runner, tmp_path, fake_server, fault):
+        fake_server.inject_fault(fault)
+        result = runner.invoke(cli, [
+            "disambiguate", "--toy", "--question", "What is the capital of Veltria?",
+            "--backend", "remote", "--llm-base-url", fake_server.url,
+            "--llm-model", "m", "--llm-timeout", "0.1", "--llm-max-retries", "0",
+            "--out", str(tmp_path / "o")])
+        assert result.exit_code == 4
+        assert "kind=DisambiguationError" in result.output
+
+    def test_truncated_results_are_service_error(self, runner, tmp_path, fake_server):
+        fake_server.inject_fault("truncated-json")
+        result = runner.invoke(cli, [
+            "execute", "--executor", "remote", "--endpoint", fake_server.url,
+            "--query", "ASK { wd:Q1 wdt:P1 wd:Q2 }", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 4
+        assert "kind=RemoteExecutionError" in result.output
+
     @pytest.mark.parametrize("command", ["index-sweep", "reject-report",
                                          "augment-train"])
     def test_empty_split_is_config_error(self, runner, tmp_path, command):

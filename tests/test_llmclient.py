@@ -1,9 +1,12 @@
-"""Chat-completions client: wire shape, auth, retries."""
+"""Chat-completions client: wire shape, auth, retries, injected faults."""
 
 import pytest
 
-from kgqa.errors import ConfigError, TransportError
+from kgqa.disambiguation import RemoteReasoner, disambiguate
+from kgqa.errors import ConfigError, DisambiguationError, TransportError
+from kgqa.kgstore import EntityRecord
 from kgqa.llmclient import ChatCompletionsClient, ReasonerClientConfig
+from kgqa.retrieval import CandidateSet
 
 
 def _config(url, **overrides):
@@ -75,3 +78,32 @@ def test_malformed_completion(fake_server):
     with pytest.raises(TransportError) as err:
         client.complete([])
     assert "malformed" in str(err.value)
+
+
+# Requests the client sends for each fault with max_retries=1: a timeout
+# and a 503 are retried, a malformed body is not.
+FAULT_ATTEMPTS = {"timeout": 2, "truncated-json": 1, "5xx-burst": 2}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_ATTEMPTS))
+def test_fault_is_transport_error(fake_server, fault):
+    fake_server.inject_fault(fault)
+    client = ChatCompletionsClient(_config(fake_server.url, timeout=0.1, max_retries=1))
+    with pytest.raises(TransportError) as err:
+        client.complete([{"role": "user", "content": "hi"}])
+    assert err.value.exit_code == 4
+    assert len(fake_server.requests) == FAULT_ATTEMPTS[fault]
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_ATTEMPTS))
+def test_reasoner_fault_is_disambiguation_error(fake_server, fault):
+    fake_server.inject_fault(fault)
+    reasoner = RemoteReasoner(ChatCompletionsClient(
+        _config(fake_server.url, timeout=0.1, max_retries=1)))
+    candidates = CandidateSet(query="q", kind="entity", hits=(("Q1", 1.0),))
+    catalog = {"Q1": EntityRecord("Q1", "one")}
+    with pytest.raises(DisambiguationError) as err:
+        disambiguate("q", candidates, "entity", reasoner, catalog=catalog)
+    assert err.value.exit_code == 4
+    assert "reasoner call failed" in str(err.value)
+    assert len(fake_server.requests) == FAULT_ATTEMPTS[fault]

@@ -1,14 +1,27 @@
 """End-to-end pipeline runs over the bundled toy data."""
 
+import csv
+import dataclasses
+import json
+import random
+import threading
 from dataclasses import replace
 
 import pytest
 
 from kgqa import data as toy_data
-from kgqa.disambiguation import GoldOracle
-from kgqa.evaluation import evaluate_end_to_end, load_dataset
-from kgqa.generation import GoldPassthrough, TemplateGenerator
+from kgqa.disambiguation import GoldOracle, RemoteReasoner
+from kgqa.errors import DisambiguationError
+from kgqa.evaluation import (
+    evaluate_end_to_end,
+    load_dataset,
+    write_report_csv,
+    write_trace_jsonl,
+)
+from kgqa.generation import GoldPassthrough, RemoteLlmGenerator, TemplateGenerator
 from kgqa.guard import GuardPolicy
+from kgqa.ids import is_entity_id
+from kgqa.llmclient import ChatCompletionsClient, ReasonerClientConfig
 from kgqa.pipeline import (
     PipelineConfig,
     build_rejection_suite,
@@ -17,7 +30,7 @@ from kgqa.pipeline import (
 )
 from kgqa.guard import rejection_report
 from kgqa.retrieval import Bm25Index, PRESETS
-from kgqa.sparql import LocalExecutor
+from kgqa.sparql import EndpointConfig, LocalExecutor, RemoteExecutor
 
 
 @pytest.fixture
@@ -188,3 +201,259 @@ class TestRejectionStudy:
             assert outcome.answers == expected.answers
             assert outcome.metrics == expected.metrics
             assert outcome.execution_rejected == (not expected.verdict.accepted)
+
+
+class TestGoldError:
+    """A question whose gold query fails is tagged, not scored."""
+
+    def _config(self, snapshot, examples):
+        cfg = oracle_config(snapshot, examples)
+        cfg.generator = GoldPassthrough({ex.id: ex.gold_query for ex in examples})
+        return cfg
+
+    def test_rejected_question_is_left_out_of_the_averages(self, toy_snapshot,
+                                                             toy_examples, tmp_path):
+        examples = toy_examples[:2]
+        examples[0].gold_query = "SELECT ?x WHERE { FILTER }"
+        cfg = self._config(toy_snapshot, examples)
+        # The second question is generated wrongly: a real score of zero.
+        cfg.generator = GoldPassthrough({
+            examples[0].id: examples[0].gold_query,
+            examples[1].id: "SELECT ?x WHERE { wd:Q1 wdt:P999 ?x }"})
+        report = evaluate_end_to_end(examples, cfg)
+        failed = next(o for o in report.outcomes if o.question_id == examples[0].id)
+        assert failed.gold_error
+        assert failed.error.startswith("gold query failed: ")
+        assert failed.metrics is None
+        assert failed.gold_answers == ()
+        assert not failed.verdict.accepted
+        row = report.rows[0]
+        assert (row.n, row.n_gold_error) == (2, 1)
+        assert (row.f1, row.acc_at_1) == (0.0, 0)  # was 0.5: the failed gold scored 1.0
+        write_report_csv(report, tmp_path / "report.csv")
+        with open(tmp_path / "report.csv", newline="") as fh:
+            header, values = list(csv.reader(fh))
+        assert dict(zip(header, values))["n_gold_error"] == "1"
+        write_trace_jsonl(report.outcomes, tmp_path / "trace.jsonl")
+        line = json.loads((tmp_path / "trace.jsonl").read_text().splitlines()[0])
+        assert line["metrics"] is None
+        assert line["error"].startswith("gold query failed: ")
+
+    def test_row_without_scored_question_averages_to_zero(self, toy_snapshot,
+                                                          toy_examples):
+        examples = toy_examples[:1]
+        examples[0].gold_query = "SELECT ?x WHERE { FILTER }"
+        report = evaluate_end_to_end(examples, self._config(toy_snapshot, examples))
+        row = report.rows[0]
+        assert (row.n, row.n_gold_error, row.f1, row.acc_at_1) == (1, 1, 0.0, 0.0)
+        assert row.rejected_pct == 100.0
+
+    def test_rejection_study_leaves_the_case_unlabelled(self, toy_snapshot,
+                                                        toy_examples):
+        examples = toy_examples[:3]
+        examples[0].gold_query = "SELECT ?x WHERE { FILTER }"
+        cfg = self._config(toy_snapshot, examples)
+        cases = build_rejection_suite(examples, toy_snapshot, 0.0)
+        outcomes = run_rejection_study(cases, cfg)
+        assert outcomes[0].correct is None
+        row = rejection_report(outcomes)[0]
+        assert (row["n"], row["n_incorrect"]) == (3, 0)
+        assert row["false_rejection_execution"] == "0.0%"
+
+
+# --- remote backends -----------------------------------------------------
+
+ENTITY_URI = "http://www.wikidata.org/entity/"
+
+
+class ToyEndpoints:
+    """Content-keyed chat and SPARQL replies over the toy graph.
+
+    Chat prompts are keyed by their kind (entity, predicate or
+    generation) and question, and answered from the dataset's gold ids
+    and queries; SPARQL requests are keyed by their query text and
+    answered by executing it on the toy snapshot. A key listed in
+    ``flaky`` fails with 503 on every other arrival, the first included;
+    one listed in ``broken`` fails with 500 on its first arrival. With
+    ``barrier`` set, the first request of each linking and SPARQL key
+    waits on it.
+    """
+
+    def __init__(self, snapshot, examples, flaky=(), broken=(), barrier=None):
+        self.executor = LocalExecutor(snapshot)
+        self.by_question = {ex.question: ex for ex in examples}
+        self.flaky = set(flaky)
+        self.broken = set(broken)
+        self.barrier = barrier
+        self.barrier_broken = False
+        self.replies = {}  # key -> statuses, in arrival order
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def key(request):
+        if request.path.endswith("/sparql"):
+            return "sparql", request.query["query"][0]
+        prompt = request.json()["messages"][-1]["content"]
+        question = [line for line in prompt.splitlines()
+                    if line.startswith("Question: ")][-1][len("Question: "):]
+        if "Candidate entities:" in prompt:
+            return "entity", question
+        if "Candidate predicates:" in prompt:
+            return "predicate", question
+        return "generation", question
+
+    def __call__(self, request):
+        key = self.key(request)
+        with self._lock:
+            statuses = self.replies.setdefault(key, [])
+            arrival = len(statuses)
+            status = 200
+            if key in self.flaky and arrival % 2 == 0:
+                status = 503
+            elif key in self.broken and arrival == 0:
+                status = 500
+            statuses.append(status)
+        if self.barrier is not None and arrival == 0 and key[0] != "generation":
+            try:
+                self.barrier.wait()
+            except threading.BrokenBarrierError:
+                self.barrier_broken = True
+        if status != 200:
+            return status, "busy"
+        kind, text = key
+        if kind == "sparql":
+            return 200, self._results(text)
+        example = self.by_question[text]
+        if kind == "generation":
+            content = f"Here is the query.\n```sparql\n{example.gold_query}\n```"
+        else:
+            ids = example.gold_entities if kind == "entity" else example.gold_predicates
+            content = f"Reasoning first.\n<answer>{', '.join(sorted(ids))}</answer>"
+        return 200, {"choices": [{"message": {"content": content}}]}
+
+    def _results(self, query):
+        answers = self.executor.run(query)
+        if answers.truth is not None:
+            return {"head": {}, "boolean": answers.truth}
+        bindings = [{"v": {"type": "uri", "value": ENTITY_URI + term}
+                     if is_entity_id(term) else {"type": "literal", "value": term}}
+                    for term in answers.sorted_terms()]
+        return {"head": {"vars": ["v"]}, "results": {"bindings": bindings}}
+
+
+class _Delegate:
+    """Wraps a backend under another type, so ``run_example`` takes its
+    sequential path while making the same remote calls."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def remote_config(snapshot, examples, url, sequential=False):
+    cfg = oracle_config(snapshot, examples)
+    llm = ChatCompletionsClient(ReasonerClientConfig(
+        base_url=url + "v1/chat/completions", model_name="m", timeout=10.0,
+        max_retries=2, backoff_base=0.0))
+    cfg.disambiguator = RemoteReasoner(llm)
+    cfg.generator = RemoteLlmGenerator(llm)
+    cfg.executor = RemoteExecutor(EndpointConfig(
+        base_url=url + "sparql", timeout=10.0, max_retries=2, politeness_delay=0.0,
+        backoff_base=0.0))
+    if sequential:
+        cfg.disambiguator = _Delegate(cfg.disambiguator)
+        cfg.executor = _Delegate(cfg.executor)
+    return cfg
+
+
+def flaky_keys(examples):
+    """A seeded share of the keys of every kind, to be served as flaky."""
+    rng = random.Random(5)
+    keys = set()
+    for ex in examples:
+        for kind in ("entity", "predicate", "generation"):
+            if rng.random() < 0.4:
+                keys.add((kind, ex.question))
+        if rng.random() < 0.4:
+            keys.add(("sparql", ex.gold_query))
+    return keys
+
+
+class TestRemoteOverlap:
+    def test_gold_and_both_links_are_in_flight_together(self, toy_snapshot,
+                                                        toy_examples, fake_server):
+        example = toy_examples[0]
+        # Three first arrivals must meet: gold query, entity and predicate
+        # linking. Calls made one after another break the barrier instead.
+        endpoints = ToyEndpoints(toy_snapshot, toy_examples,
+                                 barrier=threading.Barrier(3, timeout=2.0))
+        fake_server.responder = endpoints
+        outcome = run_example(example, remote_config(toy_snapshot, toy_examples,
+                                                     fake_server.url))
+        assert not endpoints.barrier_broken
+        assert outcome.verdict.accepted
+        assert outcome.answers == outcome.gold_answers == ("Q2",)
+
+    def test_outcome_and_calls_match_the_sequential_path(self, toy_snapshot,
+                                                         fake_server):
+        runs = {}
+        for sequential in (True, False):
+            examples = load_dataset(toy_data.toy_dataset_file()).examples
+            endpoints = ToyEndpoints(toy_snapshot, examples, flaky=flaky_keys(examples))
+            fake_server.responder = endpoints
+            cfg = remote_config(toy_snapshot, examples, fake_server.url, sequential)
+            runs[sequential] = ([run_example(ex, cfg) for ex in examples],
+                                endpoints.replies)
+        (reference, reference_calls), (overlapped, calls) = runs[True], runs[False]
+        for want, got in zip(reference, overlapped):
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        # The same requests and retries per key, in the same order.
+        assert calls == reference_calls
+        assert sum(status == 503 for statuses in calls.values() for status in statuses) > 0
+
+    def test_evaluate_outputs_are_byte_identical(self, toy_snapshot, fake_server,
+                                                 tmp_path):
+        outputs = {}
+        for name, sequential, workers in (("sequential", True, 1),
+                                          ("overlapped", False, 2)):
+            examples = load_dataset(toy_data.toy_dataset_file()).examples
+            fake_server.responder = ToyEndpoints(toy_snapshot, examples,
+                                                 flaky=flaky_keys(examples))
+            cfg = remote_config(toy_snapshot, examples, fake_server.url, sequential)
+            cfg.workers = workers
+            report = evaluate_end_to_end(examples, cfg)
+            out = tmp_path / name
+            out.mkdir()
+            write_report_csv(report, out / "report.csv")
+            write_trace_jsonl(report.outcomes, out / "trace.jsonl")
+            outputs[name] = [(out / f).read_bytes() for f in ("report.csv", "trace.jsonl")]
+        assert outputs["overlapped"] == outputs["sequential"]
+
+    def test_entity_error_wins_when_both_links_fail(self, toy_snapshot, toy_examples,
+                                                    fake_server):
+        endpoints = ToyEndpoints(toy_snapshot, toy_examples)
+
+        def respond(request):
+            kind, _ = endpoints.key(request)
+            if kind in ("entity", "predicate"):
+                return 400, f"{kind} refused"
+            return endpoints(request)
+
+        fake_server.responder = respond
+        cfg = remote_config(toy_snapshot, toy_examples, fake_server.url)
+        with pytest.raises(DisambiguationError) as err:
+            run_example(toy_examples[0], cfg)
+        assert "entity refused" in str(err.value)
+
+    def test_gold_error_is_recorded(self, toy_snapshot, toy_examples, fake_server):
+        example = toy_examples[0]
+        fake_server.responder = ToyEndpoints(
+            toy_snapshot, toy_examples, broken={("sparql", example.gold_query)})
+        outcome = run_example(example, remote_config(toy_snapshot, toy_examples,
+                                                     fake_server.url))
+        assert outcome.gold_error
+        assert outcome.error.startswith("gold query failed: HTTP 500")
+        assert outcome.metrics is None
+        assert outcome.verdict.accepted  # the generated query's own call succeeded

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgqa.errors import QueryParseError
 from kgqa.sparql import EntityRef, Literal, PredicateRef, QueryAst, TriplePattern, Var, parse, render
@@ -228,3 +230,58 @@ class TestRenderFixedPoint:
         text = render(first)
         assert '"312500"' in text
         assert parse(text) == first
+
+
+# --- properties ------------------------------------------------------------
+
+# Seeded, so the suite checks the same inputs on every run, and without an
+# example database, so a run leaves no files behind.
+PROPERTY_SETTINGS = settings(max_examples=400, derandomize=True, database=None,
+                             deadline=None)
+
+_SUBJECTS = ["?a", "?b", "wd:Q1", "wd:Q42"]
+_PREDICATES = ["wdt:P1", "wdt:P7", "?c"]
+_OBJECTS = ["?a", "?b", "wd:Q42", '"x"', r'"say \"hi\""', r'"back\\slash"',
+            "'single'", "12", "-4", "3.5"]
+_HEADS = ["SELECT ?a", "SELECT ?a ?b", "SELECT DISTINCT ?a", "select ?a where",
+          "SELECT (COUNT(?a) AS ?n)", "SELECT DISTINCT (COUNT(DISTINCT ?a) AS ?n)",
+          "ASK", "ASK WHERE", "PREFIX wd: <http://www.wikidata.org/entity/> ASK"]
+_PATTERN = st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+                     st.sampled_from(_OBJECTS)).map(" ".join)
+
+# Queries built from the grammar's own pieces, so that many of them parse.
+QUERIES = st.builds(
+    lambda head, where, patterns, dot, limit:
+        f"{head}{where} {{ {' . '.join(patterns)}{dot} }}{limit}",
+    st.sampled_from(_HEADS), st.sampled_from(["", " WHERE"]),
+    st.lists(_PATTERN, min_size=1, max_size=3), st.sampled_from(["", " ."]),
+    st.sampled_from(["", " LIMIT 3", " limit 1", " LIMIT 0", " LIMIT 2.5"]))
+# Token soup: the grammar's tokens, and some it rejects, in any order.
+TOKEN_SOUP = st.lists(st.sampled_from(
+    _SUBJECTS + _PREDICATES + _OBJECTS
+    + ["SELECT", "ASK", "WHERE", "DISTINCT", "COUNT", "AS", "LIMIT", "PREFIX",
+       "FILTER", "OPTIONAL", "OFFSET", "a", "wd:", "p:P31", "<http://x/>", "{", "}",
+       "(", ")", ".", "*", "/", "#note\n", '"open', "\u00e9"]),
+    max_size=14).map(" ".join)
+
+
+class TestParserProperties:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(st.text(), TOKEN_SOUP, QUERIES))
+    def test_parse_raises_only_query_parse_error(self, text):
+        try:
+            ast = parse(text)
+        except QueryParseError:
+            return
+        assert isinstance(ast, QueryAst)
+
+    @PROPERTY_SETTINGS
+    @given(QUERIES)
+    def test_render_of_parse_is_a_fixed_point(self, text):
+        try:
+            ast = parse(text)
+        except QueryParseError:
+            return
+        canonical = render(ast)
+        assert parse(canonical) == ast
+        assert render(parse(canonical)) == canonical

@@ -119,6 +119,21 @@ class TestFailureModes:
         assert "transport" in str(err.value)
 
 
+class TestInjectedFaults:
+    # Requests per fault with max_retries=1: a timeout and a 503 are
+    # retried, a malformed body is not.
+    ATTEMPTS = {"timeout": 2, "truncated-json": 1, "5xx-burst": 2}
+
+    @pytest.mark.parametrize("fault", sorted(ATTEMPTS))
+    def test_fault_is_remote_execution_error(self, fake_server, fault):
+        fake_server.inject_fault(fault)
+        executor = RemoteExecutor(_config(fake_server.url, timeout=0.1, max_retries=1))
+        with pytest.raises(RemoteExecutionError) as err:
+            executor.run("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }")
+        assert err.value.exit_code == 4
+        assert len(fake_server.requests) == self.ATTEMPTS[fault]
+
+
 class TestExecutorHandle:
     def test_run_contract(self, fake_server):
         fake_server.enqueue(200, bindings_doc("x", [
