@@ -63,17 +63,23 @@ def _extract_tokens(raw_response: str) -> list[str]:
     return [tok for tok in _SPLIT_RE.split(blocks[-1].strip()) if tok]
 
 
-def parse_selection(raw_response: str, offered_ids) -> list[str]:
-    """Ids from the last answer block, restricted to ``offered_ids``,
-    de-duplicated preserving first occurrence."""
+def parse_selection(raw_response: str, offered_ids) -> tuple[list[str], int]:
+    """Ids from the last answer block, restricted to ``offered_ids`` and
+    de-duplicated preserving first occurrence, plus the off-list count: the
+    id-shaped tokens that were not offered, repeats included."""
     offered = set(offered_ids)
     seen = set()
     selected = []
+    off_list = 0
     for tok in _extract_tokens(raw_response):
-        if ANY_ID_RE.fullmatch(tok) and tok in offered and tok not in seen:
+        if not ANY_ID_RE.fullmatch(tok):
+            continue
+        if tok not in offered:
+            off_list += 1
+        elif tok not in seen:
             seen.add(tok)
             selected.append(tok)
-    return selected
+    return selected, off_list
 
 
 class LabelOracle:
@@ -115,7 +121,6 @@ class RemoteReasoner:
     def select(self, question, candidates, kind, catalog, gold=None):
         prompt = build_prompt(question, candidates, kind, catalog)
         offered = [cid for cid, _ in candidates.hits]
-        offered_set = set(offered)
         retries = self.client.config.max_retries
         raw = ""
         for _attempt in range(retries + 1):
@@ -127,21 +132,9 @@ class RemoteReasoner:
                     f"model={self.client.config.model_name}): {exc}"
                 ) from exc
             try:
-                tokens = _extract_tokens(raw)
+                selected, off_list = parse_selection(raw, offered)
             except SelectionParseError:
                 continue
-            seen = set()
-            selected = []
-            off_list = 0
-            for tok in tokens:
-                if not ANY_ID_RE.fullmatch(tok):
-                    continue
-                if tok not in offered_set:
-                    off_list += 1
-                    continue
-                if tok not in seen:
-                    seen.add(tok)
-                    selected.append(tok)
             return DisambiguationResult(
                 selected=tuple(selected), raw_response=raw,
                 backend=self.name, off_list=off_list,

@@ -4,10 +4,9 @@
 SPARQL string through one of three backends: a remote LLM (chat wire
 contract shared with disambiguation), a one-hop template (deliberately
 weak offline baseline), or gold passthrough (harness plumbing).
-``direct_answer`` is the no-SPARQL baseline: the model answers directly
-and is scored by exact match. ``augment_training_pairs`` writes the
-prompt/target JSON Lines used to fine-tune a generator, mixing
-lexically-similar distractor candidates into the gold ones.
+``augment_training_pairs`` writes the prompt/target JSON Lines used to
+fine-tune a generator, mixing lexically-similar distractor candidates
+into the gold ones.
 """
 
 import json
@@ -29,13 +28,6 @@ INSTRUCTION = (
 )
 
 DEFAULT_STOPLIST = ("sure", "here", "certainly", "okay")
-DEFAULT_REFUSALS = (
-    "i cannot answer",
-    "i can't answer",
-    "cannot be answered",
-    "i do not know",
-    "i don't know",
-)
 
 
 @dataclass(frozen=True)
@@ -147,47 +139,6 @@ class RemoteLlmGenerator:
 
 def generate(req: GenerationRequest, backend) -> GenerationResult:
     return backend.generate(req)
-
-
-@dataclass(frozen=True)
-class DirectAnswerResult:
-    answers: tuple[str, ...]
-    llm_rejected: bool
-    raw_response: str
-
-
-_DIRECT_ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)
-
-
-def direct_answer(question: str, client: ChatCompletionsClient,
-                  fewshot: Sequence[tuple[str, str]] = (),
-                  refusal_phrases: Sequence[str] = DEFAULT_REFUSALS) -> DirectAnswerResult:
-    """Open-domain QA baseline: the model answers without a query.
-
-    Answers are read from the last <answer>...</answer> block and split on
-    commas; a configured refusal phrase yields an empty, llm-rejected
-    result. A response without markers counts as one answer.
-    """
-    lines = [
-        "Answer the question. Print the final answer(s) between <answer> and "
-        "</answer>, comma-separated.",
-        "",
-    ]
-    for shot_question, shot_answer in fewshot:
-        lines.append(f"Question: {shot_question}")
-        lines.append(f"<answer>{shot_answer}</answer>")
-        lines.append("")
-    lines.append(f"Question: {question}")
-    raw = client.complete([{"role": "user", "content": "\n".join(lines)}])
-    lowered = raw.lower()
-    if any(phrase in lowered for phrase in refusal_phrases):
-        return DirectAnswerResult(answers=(), llm_rejected=True, raw_response=raw)
-    blocks = _DIRECT_ANSWER_RE.findall(raw)
-    if blocks:
-        answers = tuple(a.strip() for a in blocks[-1].split(",") if a.strip())
-    else:
-        answers = (raw.strip(),) if raw.strip() else ()
-    return DirectAnswerResult(answers=answers, llm_rejected=False, raw_response=raw)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,8 @@ class Snapshot:
 
 
 def _read_jsonl(path, required, offenders):
-    rows = []
+    """Yield (lineno, object) per well-formed row; malformed rows go to
+    ``offenders`` as they are read."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -104,8 +105,7 @@ def _read_jsonl(path, required, offenders):
             if missing:
                 offenders.append((str(path), lineno, f"missing keys: {', '.join(missing)}"))
                 continue
-            rows.append((lineno, obj))
-    return rows
+            yield lineno, obj
 
 
 @contextmanager
@@ -125,36 +125,41 @@ def _collector_paused():
 def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
     """Load and cross-validate a snapshot; raises LoadError on any defect."""
     offenders: list[tuple[str, int, str]] = []
+    # A catalog's failed checks follow all of that file's parse errors.
+    invalid: list[tuple[str, int, str]] = []
     entities: dict[str, tuple] = {}  # records are built once degrees are known
     for lineno, obj in _read_jsonl(entity_file, ("id", "label"), offenders):
         eid = str(obj["id"])
         if not is_entity_id(eid):
-            offenders.append((str(entity_file), lineno, f"bad entity id {eid!r}"))
+            invalid.append((str(entity_file), lineno, f"bad entity id {eid!r}"))
             continue
         if eid in entities:
-            offenders.append((str(entity_file), lineno, f"duplicate entity id {eid}"))
+            invalid.append((str(entity_file), lineno, f"duplicate entity id {eid}"))
             continue
         aliases = obj.get("aliases") or []
         if not isinstance(aliases, list):
-            offenders.append((str(entity_file), lineno, "aliases must be an array"))
+            invalid.append((str(entity_file), lineno, "aliases must be an array"))
             continue
         entities[eid] = (eid, str(obj["label"]), str(obj.get("description") or ""),
                          tuple(map(str, aliases)))
+    offenders += invalid
+    invalid.clear()
 
     predicates: dict[str, PredicateRecord] = {}
     for lineno, obj in _read_jsonl(predicate_file, ("id", "label"), offenders):
         pid = str(obj["id"])
         if not is_predicate_id(pid):
-            offenders.append((str(predicate_file), lineno, f"bad predicate id {pid!r}"))
+            invalid.append((str(predicate_file), lineno, f"bad predicate id {pid!r}"))
             continue
         if pid in predicates:
-            offenders.append((str(predicate_file), lineno, f"duplicate predicate id {pid}"))
+            invalid.append((str(predicate_file), lineno, f"duplicate predicate id {pid}"))
             continue
         if not str(obj["label"]):
-            offenders.append((str(predicate_file), lineno, "empty label"))
+            invalid.append((str(predicate_file), lineno, "empty label"))
             continue
         predicates[pid] = PredicateRecord(id=pid, label=str(obj["label"]),
                                           description=str(obj.get("description") or ""))
+    offenders += invalid
 
     with open(triple_file, encoding="utf-8") as fh:
         # Every catalog id passed is_entity_id: the catalog is also ``objects``.
@@ -188,7 +193,8 @@ def snapshot_from_records(entity_records: Iterable[EntityRecord],
 
 def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
            predicates: dict[str, PredicateRecord], offenders, failure) -> Snapshot:
-    """Validate, dedupe and index (lineno, (s, p, o)) rows in one pass.
+    """Validate, dedupe and index (lineno, (s, p, o)) rows in one pass, then
+    build each entity's record and relation profile from its index groups.
 
     ``entities`` maps ids to (id, label, description, aliases). An object in
     ``objects`` is an entity, any other Q-shaped object an unknown entity, the
@@ -196,7 +202,6 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
     LoadError(failure) if ``offenders`` is not empty at the end.
     """
     triples: dict[Triple, None] = {}
-    incoming, outgoing = defaultdict(set), defaultdict(set)  # entity -> predicates
     by_subject: defaultdict[str, list[Triple]] = defaultdict(list)
     by_object: defaultdict[str, list[Triple]] = defaultdict(list)
     by_predicate: defaultdict[str, list[Triple]] = defaultdict(list)
@@ -210,15 +215,11 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
             offenders.append((source, lineno, f"unknown predicate {p}"))
             continue
         s, p, obj = subject[0], predicate.id, objects.get(o)
-        # A self-loop (e, r, e) counts r as incoming only.
         if obj is not None:
             o = obj[0]
-            incoming[o].add(p)
         elif is_entity_id(o):
             offenders.append((source, lineno, f"unknown object entity {o}"))
             continue
-        if obj is None or s != o:
-            outgoing[s].add(p)
         t = Triple(s, p, o)
         if t not in triples:
             triples[t] = None
@@ -227,23 +228,40 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
             by_predicate[p].append(t)
     if offenders:
         raise LoadError(failure, offenders, total=len(offenders))
+    unique = tuple(triples)
+    del triples  # free the dedupe table before the records are built
+    for index in (by_subject, by_object, by_predicate):
+        for k, group in index.items():  # frees each list as it is replaced
+            index[k] = tuple(group)
+
+    # Equal predicate sets are one object, shared by every profile holding it.
+    interned = {_EMPTY: _EMPTY}
+
+    def predicate_set(group):
+        preds = frozenset(group)
+        return interned.setdefault(preds, preds)
 
     records: dict[str, EntityRecord] = {}
     profiles: dict[str, EntityRelationProfile] = {}
     for e, fields in entities.items():
-        # frozenset(_EMPTY) is _EMPTY: untouched entities share it.
-        inc = frozenset(incoming.get(e, _EMPTY))
-        out = frozenset(outgoing.get(e, _EMPTY))
+        # Only an id in ``objects`` has incoming predicates: as an object, any
+        # other id is a literal. A self-loop (e, r, e) counts r as incoming only.
+        if e in objects:
+            inc = predicate_set(t[1] for t in by_object.get(e, ()))
+            out = predicate_set(t[1] for t in by_subject.get(e, ()) if t[2] != e)
+        else:
+            inc = _EMPTY
+            out = predicate_set(t[1] for t in by_subject.get(e, ()))
         profiles[e] = EntityRelationProfile(e, inc, out)
         records[e] = EntityRecord(*fields, degree=len(inc | out))
     return Snapshot(
         entities=records,
         predicates=predicates,
-        triples=tuple(triples),
+        triples=unique,
         profiles=profiles,
-        _by_subject={k: tuple(v) for k, v in by_subject.items()},
-        _by_object={k: tuple(v) for k, v in by_object.items()},
-        _by_predicate={k: tuple(v) for k, v in by_predicate.items()},
+        _by_subject=dict(by_subject),
+        _by_object=dict(by_object),
+        _by_predicate=dict(by_predicate),
     )
 
 

@@ -38,9 +38,3 @@ def score(gold: AnswerSet, predicted: AnswerSet) -> MetricRecord:
     acc = 1 if common == len(gold_terms) else 0
     return MetricRecord(precision, recall, f1, acc)
 
-
-def exact_match_score(gold_labels, predicted) -> int:
-    """1 iff the trimmed, case-folded answer sets are equal."""
-    norm_gold = {str(g).strip().casefold() for g in gold_labels}
-    norm_pred = {str(p).strip().casefold() for p in predicted}
-    return 1 if norm_gold == norm_pred else 0

@@ -63,11 +63,15 @@ class TestBuildPrompt:
 class TestParseSelection:
     def test_happy_path(self):
         raw = "thinking...\n<answer>Q42, Q1</answer>"
-        assert parse_selection(raw, {"Q42", "Q1", "Q7"}) == ["Q42", "Q1"]
+        assert parse_selection(raw, {"Q42", "Q1", "Q7"}) == (["Q42", "Q1"], 0)
 
     def test_off_list_dropped(self):
         raw = "<answer>Q42, Q99</answer>"
-        assert parse_selection(raw, {"Q42"}) == ["Q42"]
+        assert parse_selection(raw, {"Q42"}) == (["Q42"], 1)
+
+    def test_off_list_counts_every_unoffered_id_token(self):
+        raw = "<answer>Q99 Q42, Q99, P7 Q42 word Q</answer>"
+        assert parse_selection(raw, {"Q42"}) == (["Q42"], 3)
 
     def test_no_markers(self):
         with pytest.raises(SelectionParseError):
@@ -75,19 +79,22 @@ class TestParseSelection:
 
     def test_last_marker_pair_wins(self):
         raw = "<answer>Q1</answer> changed my mind <answer>Q2</answer>"
-        assert parse_selection(raw, {"Q1", "Q2"}) == ["Q2"]
+        assert parse_selection(raw, {"Q1", "Q2"}) == (["Q2"], 0)
 
     def test_dedupe_preserves_first(self):
         raw = "<answer>Q2 Q1, Q2</answer>"
-        assert parse_selection(raw, {"Q1", "Q2"}) == ["Q2", "Q1"]
+        assert parse_selection(raw, {"Q1", "Q2"}) == (["Q2", "Q1"], 0)
 
     def test_whitespace_and_newline_separators(self):
         raw = "<answer>\nQ1,\n  P2   Q3\n</answer>"
-        assert parse_selection(raw, {"Q1", "P2", "Q3"}) == ["Q1", "P2", "Q3"]
+        assert parse_selection(raw, {"Q1", "P2", "Q3"}) == (["Q1", "P2", "Q3"], 0)
+
+    def test_empty_answer_block(self):
+        assert parse_selection("<answer> </answer>", {"Q1"}) == ([], 0)
 
     def test_non_id_tokens_ignored(self):
         raw = "<answer>the answer is Q5 obviously</answer>"
-        assert parse_selection(raw, {"Q5"}) == ["Q5"]
+        assert parse_selection(raw, {"Q5"}) == (["Q5"], 0)
 
     def test_idempotent_on_own_output(self):
         rng = random.Random(11)
@@ -95,7 +102,7 @@ class TestParseSelection:
         for _ in range(50):
             selection = rng.sample(sorted(offered), rng.randint(1, 6))
             rendered = f"<answer>{', '.join(selection)}</answer>"
-            assert parse_selection(rendered, offered) == selection
+            assert parse_selection(rendered, offered) == (selection, 0)
 
     def test_fuzz_containment_never_violated(self):
         rng = random.Random(987)
@@ -106,7 +113,7 @@ class TestParseSelection:
             if rng.random() < 0.5:
                 raw += f"<answer>{raw[:20]}</answer>"
             try:
-                selected = parse_selection(raw, offered)
+                selected, _off_list = parse_selection(raw, offered)
             except SelectionParseError:
                 continue
             assert set(selected) <= offered
@@ -165,6 +172,14 @@ class TestRemoteBackend:
         assert result.selected == ("Q2", "Q1")
         assert result.off_list == 1
         assert result.backend == "remote"
+
+    def test_off_list_counts_repeated_tokens(self, fake_server):
+        fake_server.enqueue_chat("<answer>Q99 Q1 Q99 P5 Q1 maybe</answer>")
+        backend = RemoteReasoner(_client_config(fake_server.url))
+        result = disambiguate("q", make_candidates(3), "entity", backend,
+                              catalog=make_catalog(3))
+        assert result.selected == ("Q1",)
+        assert result.off_list == 3
 
     def test_retry_on_missing_markers(self, fake_server):
         fake_server.enqueue_chat("no markers, sorry")

@@ -1,4 +1,4 @@
-"""Prompt assembly, generation backends, direct answers, augmentation."""
+"""Prompt assembly, generation backends, augmentation."""
 
 import json
 import re
@@ -14,7 +14,6 @@ from kgqa.generation import (
     TemplateGenerator,
     augment_training_pairs,
     assemble_prompt,
-    direct_answer,
     generate,
     strip_to_query,
 )
@@ -134,37 +133,6 @@ class TestStripToQuery:
             first = stripped.split()[0].lower()
             assert first not in ("sure", "here")
             assert "```" not in stripped
-
-
-class TestDirectAnswer:
-    def test_marker_extraction(self, fake_server):
-        fake_server.enqueue_chat("Let me think. <answer>Paris</answer>")
-        result = direct_answer("capital of France?", _client(fake_server.url))
-        assert result.answers == ("Paris",)
-        assert not result.llm_rejected
-
-    def test_refusal_flagged(self, fake_server):
-        fake_server.enqueue_chat("I cannot answer this question reliably.")
-        result = direct_answer("q?", _client(fake_server.url))
-        assert result.answers == ()
-        assert result.llm_rejected
-
-    def test_comma_split(self, fake_server):
-        fake_server.enqueue_chat("<answer>Paris, Lyon</answer>")
-        result = direct_answer("q?", _client(fake_server.url))
-        assert result.answers == ("Paris", "Lyon")
-
-    def test_no_markers_whole_text(self, fake_server):
-        fake_server.enqueue_chat("Paris")
-        result = direct_answer("q?", _client(fake_server.url))
-        assert result.answers == ("Paris",)
-
-    def test_fewshot_in_prompt(self, fake_server):
-        fake_server.enqueue_chat("<answer>x</answer>")
-        direct_answer("q?", _client(fake_server.url),
-                      fewshot=(("sample?", "value"),))
-        sent = fake_server.requests[0].json()["messages"][0]["content"]
-        assert "sample?" in sent and "<answer>value</answer>" in sent
 
 
 def _indexes(toy_snapshot):

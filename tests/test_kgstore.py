@@ -10,9 +10,11 @@ from kgqa.kgstore import (
     EntityRecord,
     PredicateRecord,
     Triple,
+    _read_jsonl,
     get_entity_relations,
     load_snapshot,
     prune_by_degree,
+    relation_profile_or_empty,
     snapshot_from_records,
 )
 
@@ -127,6 +129,37 @@ class TestLoadSnapshot:
         assert len(err.value.offenders) == 15
         assert "and 5 more" in str(err.value)
 
+    def test_catalog_checks_follow_the_files_parse_errors(self, snapshot_files):
+        files = snapshot_files(
+            [], [], [],
+            entity_lines=['{"id": "X1", "label": "x"}', "{not json", '{"id": "Q2"}'])
+        files[1].write_text('{"id": "P1", "label": ""}\n[1]\n', encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            load_snapshot(*files)
+        assert [(where, lineno) for where, lineno, _ in err.value.offenders] == [
+            (str(files[0]), 2), (str(files[0]), 3), (str(files[0]), 1),
+            (str(files[1]), 2), (str(files[1]), 1),
+        ]
+
+    def test_triple_offenders_in_line_order(self, snapshot_files):
+        files = snapshot_files(
+            [("Q1", "one")], [("P1", "rel")], [],
+            triple_lines=["Q1\tP1\tQ7", "Q1\tP1", "Q9\tP1\tQ1", "Q1\tP1\tlit", "Q1"])
+        with pytest.raises(LoadError) as err:
+            load_snapshot(*files)
+        assert [lineno for _, lineno, _ in err.value.offenders] == [1, 2, 3, 5]
+        assert err.value.total == 4
+
+    def test_catalog_rows_are_read_one_at_a_time(self, snapshot_files):
+        files = snapshot_files(
+            [], [], [], entity_lines=['{"id": "Q1", "label": "a"}', "{not json"])
+        offenders = []
+        rows = _read_jsonl(files[0], ("id", "label"), offenders)
+        assert next(rows) == (1, {"id": "Q1", "label": "a"})
+        assert offenders == []
+        assert list(rows) == []
+        assert [lineno for _, lineno, _ in offenders] == [2]
+
     def test_repeat_load_identical(self, snapshot_files):
         files = snapshot_files(
             [("Q1", "one"), ("Q2", "two")], [("P1", "rel")],
@@ -171,6 +204,15 @@ def assert_same_snapshot(a, b):
     assert a.triples == b.triples
 
 
+def assert_profile_sets_shared(snap):
+    """Equal predicate sets are one object: as many objects as distinct sets."""
+    sets = [s for p in snap.profiles.values() for s in (p.incoming, p.outgoing)]
+    first = {}
+    for s in sets:
+        assert first.setdefault(s, s) is s, sorted(s)
+    assert len({id(s) for s in sets}) == len(set(sets))
+
+
 class TestLoaderEquivalence:
     def test_load_equals_records_on_random_graphs(self, snapshot_files):
         rng = random.Random(11)
@@ -179,6 +221,8 @@ class TestLoaderEquivalence:
             loaded = load_snapshot(*write_rows(snapshot_files, entities, predicates, triples))
             built = snapshot_from_records(entities, predicates, triples)
             assert_same_snapshot(loaded, built)
+            assert_profile_sets_shared(loaded)
+            assert_profile_sets_shared(built)
             assert list(loaded.triples) == list(dict.fromkeys(Triple(*t) for t in triples))
             for rec in entities:
                 expected_in, expected_out = brute_force_profile(triples, rec.id)
@@ -220,8 +264,33 @@ class TestLoaderEquivalence:
             assert with_x._by_object == plain._by_object
             assert with_x.profiles["X1"].incoming == frozenset()
             assert with_x.entities["X1"].degree == 0
+            assert_profile_sets_shared(with_x)
             del with_x.entities["X1"], with_x.profiles["X1"]
             assert_same_snapshot(with_x, plain)
+
+
+    def test_non_entity_record_self_loop_is_outgoing(self):
+        snap = snapshot_from_records(
+            [EntityRecord("Q1", "a"), EntityRecord("X1", "x")], [PredicateRecord("P1", "r")],
+            [("X1", "P1", "X1"), ("Q1", "P1", "X1")])
+        assert snap.profiles["X1"].incoming == frozenset()
+        assert snap.profiles["X1"].outgoing == {"P1"}
+        assert snap.entities["X1"].degree == 1
+
+    def test_equal_sets_shared_across_directions_and_kinds(self, snapshot_files):
+        rows = ([EntityRecord("Q1", "a"), EntityRecord("Q2", "b"), EntityRecord("Q3", "c")],
+                [PredicateRecord("P1", "r")], [("Q1", "P1", "Q2"), ("Q3", "P1", "lit")])
+        for snap in (load_snapshot(*write_rows(snapshot_files, *rows)),
+                     snapshot_from_records(*rows)):
+            p1 = snap.profiles["Q1"].outgoing
+            assert snap.profiles["Q2"].incoming is p1
+            assert snap.profiles["Q3"].outgoing is p1
+            empty = relation_profile_or_empty(snap, "Q404").incoming
+            assert snap.profiles["Q1"].incoming is empty
+            assert snap.profiles["Q2"].outgoing is empty
+
+    def test_profile_sets_shared_on_toy_graph(self, toy_snapshot):
+        assert_profile_sets_shared(toy_snapshot)
 
 
 class TestCollectorState:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kgqa.metrics import exact_match_score, score
+from kgqa.metrics import score
 from kgqa.sparql.answers import AnswerSet
 
 
@@ -92,17 +92,3 @@ class TestProperties:
             assert 0.0 <= record.recall <= 1.0
             assert 0.0 <= record.f1 <= 1.0
             assert record.acc_at_1 in (0, 1)
-
-
-class TestExactMatch:
-    def test_normalization(self):
-        assert exact_match_score(["Paris"], ["paris "]) == 1
-
-    def test_superset_fails(self):
-        assert exact_match_score(["Paris"], ["Paris", "Lyon"]) == 0
-
-    def test_empty_empty(self):
-        assert exact_match_score([], []) == 1
-
-    def test_casefold(self):
-        assert exact_match_score(["STRASSE"], ["strasse"]) == 1
