@@ -1,7 +1,6 @@
 """Command-line entry point for every pipeline stage.
 
 Artifacts are written under --out with stable names:
-  index-build    index.json
   index-sweep    sweep.csv
   retrieve       candidates.json
   disambiguate   disambiguation.json
@@ -20,6 +19,7 @@ named by --llm-api-key-env, never from flags or files.
 
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -129,18 +129,19 @@ def _examples(dataset_path, toy, split, toy_file=toy_data.toy_dataset_file):
     return loaded, examples
 
 
+_DEFAULT_PARAMS = Bm25Params(1.5, 0.75)
+
+
 def _params(kind, preset, k1, b, cfg):
+    """Resolve k1 and b one at a time: flag > --config > preset > default."""
     preset = _pick(preset, cfg, "preset")
-    k1 = _pick(k1, cfg, "k1")
-    b = _pick(b, cfg, "b")
-    if k1 is not None and b is not None:
-        return Bm25Params(float(k1), float(b))
+    base = _DEFAULT_PARAMS
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-        bundle = PRESETS[preset]
-        return bundle.entity if kind == "entity" else bundle.predicate
-    return Bm25Params(1.5, 0.75)
+        base = getattr(PRESETS[preset], kind)
+    return Bm25Params(float(_pick(k1, cfg, "k1", base.k1)),
+                      float(_pick(b, cfg, "b", base.b)))
 
 
 def _build_index(snapshot, kind, params, min_degree=None):
@@ -164,7 +165,9 @@ def _parse_grid(spec):
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ConfigError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        # Floor, not round, so the grid never passes stop; the tolerance
+        # keeps a stop that float division lands just short of.
+        count = math.floor((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
     return [float(p) for p in spec.split(",") if p]
 
@@ -230,6 +233,13 @@ _LLM_OPTIONS = [
 ]
 
 
+_BM25_OPTIONS = [
+    click.option("--preset", default=None,
+                 help=f"Hyperparameter preset: {', '.join(sorted(PRESETS))}."),
+    click.option("--k1", type=float, default=None, help="BM25 k1 (overrides preset)."),
+    click.option("--b", type=float, default=None, help="BM25 b (overrides preset)."),
+]
+
 _OUTPUT_OPTIONS = [
     click.option("--config", "config_path", type=click.Path(), default=None),
     click.option("--out", default="kgqa-out", show_default=True),
@@ -262,30 +272,6 @@ def cli():
     """Query-based knowledge-graph QA pipeline."""
 
 
-@cli.command("index-build")
-@_options(_SNAPSHOT_OPTIONS)
-@click.option("--kind", type=click.Choice(["entity", "predicate"]), default="entity",
-              show_default=True)
-@click.option("--preset", default=None,
-              help=f"Hyperparameter preset: {', '.join(sorted(PRESETS))}.")
-@click.option("--k1", type=float, default=None, help="BM25 k1 (overrides preset).")
-@click.option("--b", type=float, default=None, help="BM25 b (overrides preset).")
-@click.option("--min-degree", type=int, default=None,
-              help="Prune entities below this degree before indexing.")
-@_options(_OUTPUT_OPTIONS)
-@_wrap_errors
-def index_build(toy, entity_file, predicate_file, triple_file, kind, preset, k1, b,
-                min_degree, config_path, out):
-    """Build a BM25 index over the entity or predicate catalog."""
-    cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
-    params = _params(kind, preset, k1, b, cfg)
-    index = _build_index(snapshot, kind, params, min_degree)
-    path = _outdir(out) / "index.json"
-    index.save(path)
-    click.echo(f"indexed {len(index.doc_ids)} {kind} docs "
-               f"(k1={params.k1:g}, b={params.b:g}) -> {path}")
-
-
 @cli.command("index-sweep")
 @_options(_SNAPSHOT_OPTIONS)
 @click.option("--kind", type=click.Choice(["entity", "predicate"]), default="entity",
@@ -308,11 +294,8 @@ def index_sweep(toy, entity_file, predicate_file, triple_file, kind, dataset_pat
     pairs = [(ex.question,
               set(ex.gold_entities if kind == "entity" else ex.gold_predicates))
              for ex in examples]
-
-    def builder(params):
-        return _build_index(snapshot, kind, params, min_degree)
-
-    result = sweep(builder, pairs, _parse_grid(k1_grid), _parse_grid(b_grid), k)
+    index = _build_index(snapshot, kind, _DEFAULT_PARAMS, min_degree)
+    result = sweep(index, pairs, _parse_grid(k1_grid), _parse_grid(b_grid), k)
     path = _outdir(out) / "sweep.csv"
     write_sweep_csv(result, path)
     click.echo(f"best k1={result.best.k1:g} b={result.best.b:g} "
@@ -325,9 +308,7 @@ def index_sweep(toy, entity_file, predicate_file, triple_file, kind, dataset_pat
               show_default=True)
 @click.option("--query", required=True)
 @click.option("--k", type=int, default=10, show_default=True)
-@click.option("--preset", default=None)
-@click.option("--k1", type=float, default=None)
-@click.option("--b", type=float, default=None)
+@_options(_BM25_OPTIONS)
 @click.option("--min-degree", type=int, default=None)
 @_options(_OUTPUT_OPTIONS)
 @_wrap_errors
@@ -353,9 +334,7 @@ def retrieve(toy, entity_file, predicate_file, triple_file, kind, query, k, pres
               default="oracle-label", show_default=True)
 @click.option("--gold", default=None, help="Gold ids for oracle-gold (comma-separated).")
 @click.option("--k", type=int, default=10, show_default=True)
-@click.option("--preset", default=None)
-@click.option("--k1", type=float, default=None)
-@click.option("--b", type=float, default=None)
+@_options(_BM25_OPTIONS)
 @_llm_options
 @_options(_OUTPUT_OPTIONS)
 @_wrap_errors
@@ -459,9 +438,7 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
               help="Dataset JSON Lines (defaults to the toy set with --toy).")
 @click.option("--split", default="test", show_default=True,
               help="Evaluate only this split ('all' for everything).")
-@click.option("--preset", default=None)
-@click.option("--k1", type=float, default=None)
-@click.option("--b", type=float, default=None)
+@_options(_BM25_OPTIONS)
 @click.option("--k", type=int, default=10, show_default=True)
 @click.option("--min-degree", type=int, default=None)
 @click.option("--disambiguator", type=click.Choice(["oracle-gold", "oracle-label",

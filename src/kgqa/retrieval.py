@@ -15,24 +15,21 @@ arrays. Each token's update is the scalar formula above applied per
 document, with the same IEEE double operations in the same order.
 """
 
+import copy
 import csv
-import json
 import math
 import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from kgqa.errors import DataError, IndexBuildError, LoadError
-from kgqa.kgstore import EntityRecord, PredicateRecord
+from kgqa.errors import DataError, IndexBuildError
+from kgqa.kgstore import EntityRecord
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-INDEX_FORMAT = "kgqa-bm25-index"
-INDEX_VERSION = 1
 
 
 def tokenize(text: str) -> list[str]:
@@ -90,8 +87,9 @@ class Bm25Index:
     Postings are flat arrays in CSR form. Term ``t = term_ids[token]``
     occurs in documents ``docs[offsets[t]:offsets[t + 1]]``, in ascending
     order, with term frequencies ``tfs`` at the same positions. ``norm[d]``
-    is ``k1 * (1 - b + b * len_d / avgdl)`` and ``idf[t]`` the term's idf.
-    Document indexes follow ``doc_ids``, which are sorted.
+    is ``k1 * (1 - b + b * doc_len[d] / avgdl)`` and ``idf[t]`` the term's
+    idf. Document indexes follow ``doc_ids``, which are sorted. Only
+    ``params`` and ``norm`` depend on ``(k1, b)``; ``with_params`` swaps them.
     """
 
     def __init__(self, records: Sequence, params: Bm25Params, kind: str):
@@ -126,13 +124,25 @@ class Bm25Index:
         self.docs = np.repeat(np.arange(n, dtype=np.int32), distinct)[order]
         self.tfs = np.array(counts, dtype=np.float64)[order]
 
-        avgdl = sum(doc_len) / n
-        k1, b = params.k1, params.b
-        dl = np.array(doc_len, dtype=np.float64)
-        self.norm = (k1 * (1.0 - b + b * dl / avgdl) if avgdl > 0
-                     else np.full(n, k1 * (1.0 - b)))
+        self.avgdl = sum(doc_len) / n
+        self.doc_len = np.array(doc_len, dtype=np.int32)
+        self.norm = self._norm()
         self.idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
                              for d in df.tolist()], dtype=np.float64)
+
+    def _norm(self) -> np.ndarray:
+        k1, b = self.params.k1, self.params.b
+        if self.avgdl > 0:
+            return k1 * (1.0 - b + b * self.doc_len / self.avgdl)
+        return np.full(len(self.doc_len), k1 * (1.0 - b))
+
+    def with_params(self, params: Bm25Params) -> "Bm25Index":
+        """This index under other ``(k1, b)``: shares every posting array and
+        recomputes only ``norm``, so it scores exactly like a fresh build."""
+        view = copy.copy(self)
+        view.params = params
+        view.norm = view._norm()
+        return view
 
     @classmethod
     def build(cls, catalog: Iterable, params: Bm25Params,
@@ -173,57 +183,6 @@ class Bm25Index:
         return CandidateSet(query=query, kind=self.kind,
                             hits=tuple(zip(ids, values[order].tolist())))
 
-    def save(self, path) -> None:
-        """Persist as a self-describing JSON document (round-trip stable)."""
-        docs = []
-        for rec in self.records:
-            doc = {"id": rec.id, "label": rec.label, "description": rec.description}
-            if self.kind == "entity":
-                doc["aliases"] = list(rec.aliases)
-            docs.append(doc)
-        payload = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "kind": self.kind,
-            "params": {"k1": self.params.k1, "b": self.params.b},
-            "docs": docs,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "Bm25Index":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"{path}: not a valid index file", [(str(path), 1, exc.msg)])
-        if not isinstance(payload, dict):
-            raise LoadError(f"{path}: not a valid index file",
-                            [(str(path), 1, f"top level is a {type(payload).__name__}")])
-        if payload.get("format") != INDEX_FORMAT:
-            raise LoadError(f"{path}: unrecognized index format",
-                            [(str(path), 1, f"format={payload.get('format')!r}")])
-        if payload.get("version") != INDEX_VERSION:
-            raise LoadError(f"{path}: unsupported index version",
-                            [(str(path), 1, f"version={payload.get('version')!r}")])
-        kind = payload.get("kind")
-        if kind not in ("entity", "predicate"):
-            raise LoadError(f"{path}: unknown index kind", [(str(path), 1, f"kind={kind!r}")])
-        try:
-            params = Bm25Params(payload["params"]["k1"], payload["params"]["b"])
-            if kind == "entity":
-                records = [EntityRecord(d["id"], d["label"], d.get("description", ""),
-                                        tuple(d.get("aliases", ()))) for d in payload["docs"]]
-            else:
-                records = [PredicateRecord(d["id"], d["label"], d.get("description", ""))
-                           for d in payload["docs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(f"{path}: malformed index file",
-                            [(str(path), 1, f"{type(exc).__name__}: {exc}")]) from exc
-        return cls(records, params, kind)
-
 
 @dataclass(frozen=True)
 class RecallResult:
@@ -261,13 +220,13 @@ class SweepResult:
     table: tuple[tuple[float, float, float], ...]  # (k1, b, recall) in grid order
 
 
-def sweep(index_builder: Callable[[Bm25Params], Bm25Index],
-          examples: Sequence[tuple[str, set[str]]],
+def sweep(index: Bm25Index, examples: Sequence[tuple[str, set[str]]],
           k1_grid: Sequence[float], b_grid: Sequence[float], k: int) -> SweepResult:
-    """Exhaustive (k1, b) grid evaluation by Recall@k.
+    """Exhaustive (k1, b) grid evaluation by Recall@k over views of ``index``.
 
     Returns the argmax params, ties resolved toward the smaller (k1, b)
-    pair, plus the full table for reporting.
+    pair, plus the full table for reporting. Raises ``DataError`` when no
+    example has gold ids to score.
     """
     if not k1_grid or not b_grid:
         raise ValueError("k1_grid and b_grid must be non-empty")
@@ -276,7 +235,9 @@ def sweep(index_builder: Callable[[Bm25Params], Bm25Index],
     for k1 in k1_grid:
         for b in b_grid:
             params = Bm25Params(k1, b)
-            result = recall_at_k(index_builder(params), examples, k)
+            result = recall_at_k(index.with_params(params), examples, k)
+            if not result.evaluated:
+                raise DataError(f"no example has gold {index.kind} ids to score")
             rows.append((k1, b, result.value))
             key = (-result.value, k1, b)
             if best is None or key < best[0]:

@@ -1,12 +1,17 @@
 """CLI surface: subcommands, artifacts, exit codes, determinism."""
 
 import csv
+import itertools
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from kgqa.cli import cli
+from kgqa.cli import _parse_grid, cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -18,13 +23,22 @@ def run(runner, *args):
     return runner.invoke(cli, list(args), catch_exceptions=False)
 
 
+def retrieve_output(runner, tmp_path, *args):
+    result = run(runner, "retrieve", "--toy", "--query", "capital of Veltria",
+                 "--out", str(tmp_path / "out"), *args)
+    assert result.exit_code == 0
+    return result.output
+
+
 class TestHelp:
-    def test_group_lists_every_subcommand(self, runner):
-        result = run(runner, "--help")
-        for name in ("index-build", "index-sweep", "retrieve", "disambiguate",
-                     "generate", "filter-check", "execute", "evaluate",
-                     "reject-report", "make-splits", "augment-train"):
-            assert name in result.output
+    def test_readme_table_lists_every_subcommand(self):
+        section = README.read_text(encoding="utf-8").split(
+            "### Subcommands and artifacts\n", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(section) if line.startswith("|"))
+        table = itertools.takewhile(lambda line: line.startswith("|"), section[start:])
+        listed = [m.group(1) for m in map(re.compile(r"\| `([a-z-]+)` \|").match, table)
+                  if m]
+        assert sorted(listed) == sorted(cli.commands)
 
     def test_unknown_flag_is_hard_error(self, runner):
         result = runner.invoke(cli, ["filter-check", "--nonsense", "x"])
@@ -66,19 +80,65 @@ class TestIndexCommands:
         assert rows[0] == ["k1", "b", "recall_at_k"]
         assert len(rows) - 1 == 6 * 5
 
-    def test_build_and_artifact(self, runner, tmp_path):
+    @pytest.mark.parametrize("spec, expected", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0.5:3.0:0.7", [0.5, 1.2, 1.9, 2.6]),
+        ("0.3:0.9:0.2", [0.3, 0.5, 0.7, 0.9]),
+        ("0.5:3.0:0.5", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+        ("0.0:1.0:0.25", [0.0, 0.25, 0.5, 0.75, 1.0]),
+    ], ids=["short-last-step", "short-last-step-k1", "inexact-division",
+            "default-k1", "default-b"])
+    def test_grid_stops_at_stop(self, spec, expected):
+        assert _parse_grid(spec) == expected
+
+    def test_sweep_grid_not_whole_steps(self, runner, tmp_path):
         out = tmp_path / "out"
-        result = run(runner, "index-build", "--toy", "--preset", "qald10",
+        result = run(runner, "index-sweep", "--toy", "--b", "0:1:0.6",
                      "--out", str(out))
         assert result.exit_code == 0
-        payload = json.loads((out / "index.json").read_text())
-        assert payload["params"] == {"k1": 2.95, "b": 0.2}
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) - 1 == 6 * 2
+
+    def test_sweep_with_nothing_to_score_is_data_error(self, runner, tmp_path):
+        from kgqa import data
+        dataset = tmp_path / "no_predicates.jsonl"
+        with open(data.toy_dataset_file(), encoding="utf-8") as src, \
+                open(dataset, "w", encoding="utf-8") as dst:
+            for line in src:
+                row = json.loads(line)
+                del row["predicates"]
+                dst.write(json.dumps(row) + "\n")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["index-sweep", "--toy", "--kind", "predicate",
+                                     "--dataset", str(dataset), "--out", str(out)])
+        assert result.exit_code == 3
+        assert "kind=DataError" in result.output
+        assert not out.exists()
 
     def test_retrieve_prints_hits(self, runner, tmp_path):
         result = run(runner, "retrieve", "--toy", "--query", "capital of Veltria",
                      "--k", "3", "--out", str(tmp_path / "out"))
         assert result.exit_code == 0
         assert "Q1" in result.output or "Q2" in result.output
+
+    # Each field resolves on its own: flag > --config > preset > default
+    # (1.5, 0.75). The rubq2 entity preset is (1.39, 0.4).
+    @pytest.mark.parametrize("partial, config, full", [
+        (["--k1", "9.0"], None, ["--k1", "9.0", "--b", "0.75"]),
+        (["--b", "0.1"], None, ["--k1", "1.5", "--b", "0.1"]),
+        (["--preset", "rubq2", "--k1", "9.0"], None, ["--k1", "9.0", "--b", "0.4"]),
+        (["--preset", "rubq2"], {"b": 0.1}, ["--k1", "1.39", "--b", "0.1"]),
+    ], ids=["k1-alone", "b-alone", "preset-and-k1", "preset-and-config-b"])
+    def test_bm25_fields_resolve_separately(self, runner, tmp_path, partial, config,
+                                            full):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            partial = partial + ["--config", str(path)]
+        got = retrieve_output(runner, tmp_path, *partial)
+        assert got == retrieve_output(runner, tmp_path, *full)
+        assert got != retrieve_output(runner, tmp_path)
 
 
 class TestPipelineCommands:
@@ -233,8 +293,8 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unknown_preset_is_config_error(self, runner, tmp_path):
-        result = runner.invoke(cli, ["index-build", "--toy", "--preset", "nope",
-                                     "--out", str(tmp_path / "out")])
+        result = runner.invoke(cli, ["retrieve", "--toy", "--query", "q",
+                                     "--preset", "nope", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
 

@@ -1,17 +1,16 @@
-"""BM25 indexing, search, recall, sweeps, presets, and persistence."""
+"""BM25 indexing, search, reparametrized views, recall, sweeps and presets."""
 
-import json
 import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from kgqa.errors import DataError, IndexBuildError, LoadError
+from kgqa import retrieval
+from kgqa.errors import DataError, IndexBuildError
 from kgqa.kgstore import EntityRecord, PredicateRecord
 from kgqa.retrieval import (
-    INDEX_FORMAT,
-    INDEX_VERSION,
     Bm25Index,
     Bm25Params,
     PRESETS,
@@ -304,14 +303,60 @@ class TestRecall:
             previous = value
 
 
+class TestWithParams:
+    GRID = [Bm25Params(k1, b) for k1 in (0.0, 0.1, 1.2, 2.95, 5.18)
+            for b in (0.0, 0.01, 0.4, 0.75, 1.0)]
+
+    @staticmethod
+    def _assert_same_as_fresh(records, base, queries):
+        for params in TestWithParams.GRID:
+            view = base.with_params(params)
+            fresh = Bm25Index(records, params, "predicate")
+            assert view.params == params
+            assert np.array_equal(view.norm, fresh.norm)
+            for query in queries:
+                for k in (1, 3, 10, 100):
+                    assert view.search(query, k) == fresh.search(query, k)
+
+    def test_matches_fresh_build_on_random_corpora(self):
+        # The corpora, base params and queries of
+        # TestSearch.test_matches_reference_on_random_corpora.
+        rng = random.Random(20240501)
+        for _ in range(30):
+            doc_tokens = random_corpus(rng)
+            params = Bm25Params(rng.choice([0.1, 0.9, 1.2, 2.95, 5.18]),
+                                rng.choice([0.0, 0.01, 0.4, 0.75, 1.0]))
+            records = [PredicateRecord(f"D{i:03d}", " ".join(t), "")
+                       for i, t in enumerate(doc_tokens)]
+            base = Bm25Index(records, params, "predicate")
+            queries = [" ".join([rng.choice([t for d in doc_tokens for t in d] + ["oov"])
+                                 for _ in range(rng.randint(1, 4))])
+                       for _ in range(5)]
+            self._assert_same_as_fresh(records, base, queries)
+
+    def test_matches_fresh_build_with_zero_avgdl(self):
+        # Documents with no tokens at all: avgdl is 0 and every score is 0.
+        records = [PredicateRecord("P1", "?!", ""), PredicateRecord("P2", "--", "")]
+        base = Bm25Index(records, Bm25Params(1.5, 0.75), "predicate")
+        assert base.avgdl == 0
+        self._assert_same_as_fresh(records, base, ["anything", "?!"])
+
+    def test_shares_postings_and_leaves_base_alone(self):
+        records = [EntityRecord("Q1", "alpha beta"), EntityRecord("Q2", "alpha")]
+        base = Bm25Index.build(records, Bm25Params(1.5, 0.75))
+        norm = base.norm.copy()
+        view = base.with_params(Bm25Params(0.5, 0.0))
+        for name in ("term_ids", "offsets", "docs", "tfs", "idf", "records", "by_id",
+                     "doc_ids", "doc_len"):
+            assert getattr(view, name) is getattr(base, name)
+        assert base.params == Bm25Params(1.5, 0.75)
+        assert np.array_equal(base.norm, norm)
+
+
 class TestSweep:
     def test_degenerate_grid(self):
-        records = [EntityRecord("Q1", "alpha")]
-
-        def builder(params):
-            return Bm25Index.build(records, params)
-
-        result = sweep(builder, [("alpha", {"Q1"})], [1.3], [0.2], 5)
+        index = Bm25Index.build([EntityRecord("Q1", "alpha")], Bm25Params(1.5, 0.75))
+        result = sweep(index, [("alpha", {"Q1"})], [1.3], [0.2], 5)
         assert result.best == Bm25Params(1.3, 0.2)
         assert result.table == ((1.3, 0.2, 1.0),)
 
@@ -322,78 +367,44 @@ class TestSweep:
             PredicateRecord("P1", " ".join(["goal"] + [f"x{i}" for i in range(30)])),
             PredicateRecord("P2", "goal"),
         ]
-
-        def builder(params):
-            return Bm25Index(records, params, "predicate")
-
+        index = Bm25Index(records, Bm25Params(1.5, 0.75), "predicate")
         examples = [("goal", {"P1"})]
-        result = sweep(builder, examples, [1.2], [0.0, 1.0], 1)
+        result = sweep(index, examples, [1.2], [0.0, 1.0], 1)
         table = dict(((k1, b), r) for k1, b, r in result.table)
         assert table[(1.2, 0.0)] == 1.0
         assert table[(1.2, 1.0)] == 0.0
         assert result.best == Bm25Params(1.2, 0.0)
 
     def test_tie_break_smaller_pair(self):
-        records = [EntityRecord("Q1", "alpha")]
-
-        def builder(params):
-            return Bm25Index.build(records, params)
-
-        result = sweep(builder, [("alpha", {"Q1"})], [2.0, 0.5], [0.4, 0.1], 3)
+        index = Bm25Index.build([EntityRecord("Q1", "alpha")], Bm25Params(1.5, 0.75))
+        result = sweep(index, [("alpha", {"Q1"})], [2.0, 0.5], [0.4, 0.1], 3)
         assert result.best == Bm25Params(0.5, 0.1)
 
     def test_grid_order_of_table(self):
-        records = [EntityRecord("Q1", "alpha")]
-
-        def builder(params):
-            return Bm25Index.build(records, params)
-
-        result = sweep(builder, [("alpha", {"Q1"})], [1.0, 2.0], [0.1, 0.2], 3)
+        index = Bm25Index.build([EntityRecord("Q1", "alpha")], Bm25Params(1.5, 0.75))
+        result = sweep(index, [("alpha", {"Q1"})], [1.0, 2.0], [0.1, 0.2], 3)
         assert [(k1, b) for k1, b, _ in result.table] == \
             [(1.0, 0.1), (1.0, 0.2), (2.0, 0.1), (2.0, 0.2)]
 
+    def test_nothing_to_score_is_data_error(self):
+        index = Bm25Index.build([EntityRecord("Q1", "alpha")], Bm25Params(1.5, 0.75))
+        with pytest.raises(DataError):
+            sweep(index, [("alpha", set()), ("beta", set())], [1.0], [0.5], 3)
 
-_HEADER = {"format": INDEX_FORMAT, "version": INDEX_VERSION, "kind": "entity"}
-_DOC = {"id": "Q1", "label": "alpha"}
+    def test_tokenizes_each_document_once(self, monkeypatch, toy_snapshot):
+        calls = Counter()
+        real = retrieval.tokenize
 
+        def counting(text):
+            calls[text] += 1
+            return real(text)
 
-class TestPersistence:
-    def test_round_trip_search_identical(self, tmp_path, toy_snapshot):
-        index = Bm25Index.build(toy_snapshot.entities.values(), Bm25Params(1.39, 0.4))
-        path = tmp_path / "index.json"
-        index.save(path)
-        reloaded = Bm25Index.load(path)
-        for query in ("capital of Veltria", "Mira Okafor", "research vessel"):
-            assert index.search(query, 10) == reloaded.search(query, 10)
-
-    def test_predicate_index_round_trip(self, tmp_path, toy_snapshot):
-        index = Bm25Index.build(toy_snapshot.predicates.values(), Bm25Params(2.0, 0.01))
-        path = tmp_path / "pindex.json"
-        index.save(path)
-        reloaded = Bm25Index.load(path)
-        assert reloaded.kind == "predicate"
-        for query in ("capital", "person who directed a film"):
-            assert index.search(query, 12) == reloaded.search(query, 12)
-
-    def test_rejects_foreign_file(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text('{"format": "something-else"}', encoding="utf-8")
-        with pytest.raises(Exception) as err:
-            Bm25Index.load(path)
-        assert "format" in str(err.value)
-
-    @pytest.mark.parametrize("payload", [
-        {**_HEADER, "docs": [_DOC]},
-        [_HEADER],
-        {**_HEADER, "params": {"k1": 1.2, "b": 0.75}, "docs": [{"label": "alpha"}]},
-        {**_HEADER, "params": {"k1": -1.0, "b": 0.75}, "docs": [_DOC]},
-        {**_HEADER, "params": {"k1": 1.2, "b": 1.5}, "docs": [_DOC]},
-        {**_HEADER, "kind": "bogus", "params": {"k1": 1.2, "b": 0.75}, "docs": [_DOC]},
-    ], ids=["no-params", "top-level-list", "doc-without-id", "k1-out-of-range",
-            "b-out-of-range", "unknown-kind"])
-    def test_malformed_file_raises_load_error(self, tmp_path, payload):
-        path = tmp_path / "index.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(LoadError) as err:
-            Bm25Index.load(path)
-        assert str(path) in str(err.value)
+        monkeypatch.setattr(retrieval, "tokenize", counting)
+        records = list(toy_snapshot.entities.values())
+        index = Bm25Index.build(records, Bm25Params(1.5, 0.75))
+        examples = [("capital of Veltria", {"Q2"}), ("Mira Okafor", {"Q14"})]
+        k1_grid, b_grid = [0.5, 1.0, 2.0], [0.0, 0.5, 1.0]
+        sweep(index, examples, k1_grid, b_grid, 10)
+        cells = len(k1_grid) * len(b_grid)
+        docs = Counter(retrieval._document_text(r) for r in records)
+        assert calls == docs + Counter({q: cells for q, _ in examples})
