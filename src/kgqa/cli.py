@@ -144,6 +144,11 @@ def _params(kind, preset, k1, b, cfg):
                       float(_pick(b, cfg, "b", base.b)))
 
 
+def _check_min_degree(kind, min_degree):
+    if kind != "entity" and min_degree is not None:
+        raise ConfigError("--min-degree applies to entity indexes only")
+
+
 def _build_index(snapshot, kind, params, min_degree=None):
     if kind == "entity":
         pruned = prune_by_degree(snapshot, min_degree) if min_degree is not None else None
@@ -240,6 +245,10 @@ _BM25_OPTIONS = [
     click.option("--b", type=float, default=None, help="BM25 b (overrides preset)."),
 ]
 
+_MIN_DEGREE_OPTION = click.option(
+    "--min-degree", type=int, default=None,
+    help="Index only entities with at least this many distinct predicates.")
+
 _OUTPUT_OPTIONS = [
     click.option("--config", "config_path", type=click.Path(), default=None),
     click.option("--out", default="kgqa-out", show_default=True),
@@ -283,19 +292,24 @@ def cli():
               help="Grid as start:stop:step or comma list.")
 @click.option("--b", "b_grid", default="0.0:1.0:0.25", show_default=True)
 @click.option("--k", type=int, default=10, show_default=True)
-@click.option("--min-degree", type=int, default=None)
+@_MIN_DEGREE_OPTION
 @_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def index_sweep(toy, entity_file, predicate_file, triple_file, kind, dataset_path,
                 split, k1_grid, b_grid, k, min_degree, config_path, out):
     """Grid-search BM25 hyperparameters by Recall@k."""
+    _check_min_degree(kind, min_degree)
+    k1_values, b_values = _parse_grid(k1_grid), _parse_grid(b_grid)
+    # Every cell is checked before anything loads, so a bad grid exits 2 at once.
+    if not [Bm25Params(k1, b) for k1 in k1_values for b in b_values]:
+        raise ConfigError("--k1 and --b grids must not be empty")
     _, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     _, examples = _examples(dataset_path, toy, split)
     pairs = [(ex.question,
               set(ex.gold_entities if kind == "entity" else ex.gold_predicates))
              for ex in examples]
     index = _build_index(snapshot, kind, _DEFAULT_PARAMS, min_degree)
-    result = sweep(index, pairs, _parse_grid(k1_grid), _parse_grid(b_grid), k)
+    result = sweep(index, pairs, k1_values, b_values, k)
     path = _outdir(out) / "sweep.csv"
     write_sweep_csv(result, path)
     click.echo(f"best k1={result.best.k1:g} b={result.best.b:g} "
@@ -309,12 +323,13 @@ def index_sweep(toy, entity_file, predicate_file, triple_file, kind, dataset_pat
 @click.option("--query", required=True)
 @click.option("--k", type=int, default=10, show_default=True)
 @_options(_BM25_OPTIONS)
-@click.option("--min-degree", type=int, default=None)
+@_MIN_DEGREE_OPTION
 @_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def retrieve(toy, entity_file, predicate_file, triple_file, kind, query, k, preset,
              k1, b, min_degree, config_path, out):
     """Search the catalog and print ranked candidates."""
+    _check_min_degree(kind, min_degree)
     cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
     index = _build_index(snapshot, kind, _params(kind, preset, k1, b, cfg), min_degree)
     candidates = index.search(query, k)
@@ -335,14 +350,16 @@ def retrieve(toy, entity_file, predicate_file, triple_file, kind, query, k, pres
 @click.option("--gold", default=None, help="Gold ids for oracle-gold (comma-separated).")
 @click.option("--k", type=int, default=10, show_default=True)
 @_options(_BM25_OPTIONS)
+@_MIN_DEGREE_OPTION
 @_llm_options
 @_options(_OUTPUT_OPTIONS)
 @_wrap_errors
 def disambiguate_cmd(toy, entity_file, predicate_file, triple_file, question, kind,
-                     backend, gold, k, preset, k1, b, llm, config_path, out):
+                     backend, gold, k, preset, k1, b, min_degree, llm, config_path, out):
     """Retrieve candidates and select the ids the question mentions."""
+    _check_min_degree(kind, min_degree)
     cfg, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
-    index = _build_index(snapshot, kind, _params(kind, preset, k1, b, cfg))
+    index = _build_index(snapshot, kind, _params(kind, preset, k1, b, cfg), min_degree)
     candidates = index.search(question, k)
     result = disambiguate(question, candidates, kind, _disambiguator(backend, llm),
                           catalog=index.by_id, gold=_id_list(gold) if gold else None)
@@ -440,7 +457,7 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
               help="Evaluate only this split ('all' for everything).")
 @_options(_BM25_OPTIONS)
 @click.option("--k", type=int, default=10, show_default=True)
-@click.option("--min-degree", type=int, default=None)
+@_MIN_DEGREE_OPTION
 @click.option("--disambiguator", type=click.Choice(["oracle-gold", "oracle-label",
                                                     "remote"]),
               default="oracle-gold", show_default=True)

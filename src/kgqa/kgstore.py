@@ -16,6 +16,7 @@ import json
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 from kgqa.errors import LoadError, NotFoundError
@@ -85,24 +86,36 @@ class Snapshot:
         )
 
 
+# The scanner json.loads calls, without its checks: it decodes one JSON value
+# at a position of a string and returns the value and the position after it.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def _read_jsonl(path, required, offenders):
     """Yield (lineno, object) per well-formed row; malformed rows go to
     ``offenders`` as they are read."""
+    keys = frozenset(required)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                offenders.append((str(path), lineno, f"invalid JSON: {exc.msg}"))
-                continue
+                obj, end = _scan_json(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end != len(line):
+                # Not one JSON value: json.loads words the error.
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    offenders.append((str(path), lineno, f"invalid JSON: {exc.msg}"))
+                    continue
             if not isinstance(obj, dict):
                 offenders.append((str(path), lineno, "expected a JSON object"))
                 continue
-            missing = [k for k in required if k not in obj]
-            if missing:
+            if not obj.keys() >= keys:
+                missing = [k for k in required if k not in obj]
                 offenders.append((str(path), lineno, f"missing keys: {', '.join(missing)}"))
                 continue
             yield lineno, obj
@@ -205,6 +218,8 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
     by_subject: defaultdict[str, list[Triple]] = defaultdict(list)
     by_object: defaultdict[str, list[Triple]] = defaultdict(list)
     by_predicate: defaultdict[str, list[Triple]] = defaultdict(list)
+    loops = set()  # subjects of self-loops whose object is an entity
+    new_triple = tuple.__new__
     for lineno, (s, p, o) in rows:
         subject = entities.get(s)
         if subject is None:
@@ -220,12 +235,15 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
         elif is_entity_id(o):
             offenders.append((source, lineno, f"unknown object entity {o}"))
             continue
-        t = Triple(s, p, o)
-        if t not in triples:
-            triples[t] = None
+        t = new_triple(Triple, (s, p, o))
+        size = len(triples)
+        triples[t] = None
+        if len(triples) != size:
             by_subject[s].append(t)
             by_object[o].append(t)
             by_predicate[p].append(t)
+            if obj is subject:
+                loops.add(s)
     if offenders:
         raise LoadError(failure, offenders, total=len(offenders))
     unique = tuple(triples)
@@ -236,6 +254,7 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
 
     # Equal predicate sets are one object, shared by every profile holding it.
     interned = {_EMPTY: _EMPTY}
+    predicate_of = itemgetter(1)
 
     def predicate_set(group):
         preds = frozenset(group)
@@ -246,12 +265,14 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
     for e, fields in entities.items():
         # Only an id in ``objects`` has incoming predicates: as an object, any
         # other id is a literal. A self-loop (e, r, e) counts r as incoming only.
-        if e in objects:
-            inc = predicate_set(t[1] for t in by_object.get(e, ()))
-            out = predicate_set(t[1] for t in by_subject.get(e, ()) if t[2] != e)
-        else:
+        out = by_subject.get(e, ())
+        if e not in objects:
             inc = _EMPTY
-            out = predicate_set(t[1] for t in by_subject.get(e, ()))
+        else:
+            inc = predicate_set(map(predicate_of, by_object.get(e, ())))
+            if e in loops:
+                out = [t for t in out if t[2] != e]
+        out = predicate_set(map(predicate_of, out))
         profiles[e] = EntityRelationProfile(e, inc, out)
         records[e] = EntityRecord(*fields, degree=len(inc | out))
     return Snapshot(

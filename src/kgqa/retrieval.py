@@ -20,8 +20,8 @@ import csv
 import math
 import re
 from array import array
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,10 @@ from kgqa.errors import DataError, IndexBuildError
 from kgqa.kgstore import EntityRecord
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# Documents per block of an index build; a block's new term ids are assigned
+# in one step. Its token lists stay under the collector's generation-0
+# threshold (700 containers), so they trigger no collection of their own.
+_BLOCK_DOCS = 256
 
 
 def tokenize(text: str) -> list[str]:
@@ -81,6 +85,22 @@ def _document_text(record) -> str:
     return " ".join(parts)
 
 
+def _postings(terms: array, doc_len: array, n_terms: int):
+    """CSR postings from the term id of every token, documents in order:
+    ``(df, offsets, docs, tfs)``, each posting list in ascending doc order."""
+    n = len(doc_len)
+    key_type = np.int32 if n_terms * n < 2**31 else np.int64
+    keys = np.asarray(terms).astype(key_type)
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=key_type), doc_len)
+    # Sorted by term, then document: each distinct key is one posting and
+    # its count the term frequency.
+    keys, counts = np.unique(keys, return_counts=True)
+    df = np.bincount(keys // n, minlength=n_terms)
+    return (df, np.concatenate(([0], np.cumsum(df))),
+            (keys % n).astype(np.int32, copy=False), counts.astype(np.float64))
+
+
 class Bm25Index:
     """Immutable BM25 index over one catalog; build once, search concurrently.
 
@@ -103,27 +123,20 @@ class Bm25Index:
 
         n = len(self.records)
         term_ids: dict[str, int] = {}
-        terms = array("i")  # one entry per distinct token of each document
-        counts = array("i")
-        distinct = array("i")
+        terms = array("i")  # the term id of every token, documents in order
         doc_len = array("i")
-        for rec in self.records:
-            tokens = tokenize(_document_text(rec))
-            tf = Counter(tokens)
-            terms.extend([term_ids.setdefault(tok, len(term_ids)) for tok in tf])
-            counts.extend(tf.values())
-            distinct.append(len(tf))
-            doc_len.append(len(tokens))
+        for start in range(0, n, _BLOCK_DOCS):
+            block = [tokenize(_document_text(rec))
+                     for rec in self.records[start:start + _BLOCK_DOCS]]
+            doc_len.extend(map(len, block))
+            tokens = list(chain.from_iterable(block))
+            # Ids in order of first occurrence, as a per-document pass gives.
+            new = [tok for tok in dict.fromkeys(tokens) if tok not in term_ids]
+            term_ids.update(zip(new, count(len(term_ids))))
+            terms.extend(map(term_ids.__getitem__, tokens))
 
-        term_col = np.asarray(terms)
-        # A stable sort by term keeps each posting list in ascending doc order.
-        order = np.argsort(term_col, kind="stable")
-        df = np.bincount(term_col, minlength=len(term_ids))
+        df, self.offsets, self.docs, self.tfs = _postings(terms, doc_len, len(term_ids))
         self.term_ids = term_ids
-        self.offsets = np.concatenate(([0], np.cumsum(df)))
-        self.docs = np.repeat(np.arange(n, dtype=np.int32), distinct)[order]
-        self.tfs = np.array(counts, dtype=np.float64)[order]
-
         self.avgdl = sum(doc_len) / n
         self.doc_len = np.array(doc_len, dtype=np.int32)
         self.norm = self._norm()

@@ -100,6 +100,36 @@ class TestIndexCommands:
             rows = list(csv.reader(fh))
         assert len(rows) - 1 == 6 * 2
 
+    @pytest.mark.parametrize("grid, message", [
+        (["--b", "0:2:0.5"], "b must be in [0, 1], got 1.5"),
+        (["--k1", "-1:1:0.5"], "k1 must be >= 0, got -1.0"),
+        (["--k1", "2:1:0.5"], "grids must not be empty"),
+    ], ids=["b-above-one", "negative-k1", "empty-grid"])
+    def test_bad_grid_exits_before_loading(self, runner, tmp_path, monkeypatch, grid,
+                                           message):
+        def no_load(*args):
+            raise AssertionError("the snapshot was loaded")
+
+        monkeypatch.setattr("kgqa.cli.load_snapshot", no_load)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["index-sweep", "--toy", *grid, "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["retrieve", "--query", "capital"],
+        ["index-sweep"],
+        ["disambiguate", "--question", "capital"],
+    ], ids=["retrieve", "index-sweep", "disambiguate"])
+    def test_min_degree_is_entity_only(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [*command, "--toy", "--kind", "predicate",
+                                     "--min-degree", "2", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--min-degree applies to entity indexes only" in result.output
+        assert not out.exists()
+
     def test_sweep_with_nothing_to_score_is_data_error(self, runner, tmp_path):
         from kgqa import data
         dataset = tmp_path / "no_predicates.jsonl"
@@ -155,6 +185,16 @@ class TestPipelineCommands:
                      "--backend", "oracle-label", "--out", str(tmp_path / "out"))
         assert result.exit_code == 0
         assert "Q14" in result.output
+
+    # Mira Okafor (Q14) has degree 3 in the toy graph.
+    @pytest.mark.parametrize("min_degree, selected", [("3", "Q14"),
+                                                      ("4", "(empty selection)")])
+    def test_disambiguate_min_degree(self, runner, tmp_path, min_degree, selected):
+        result = run(runner, "disambiguate", "--toy",
+                     "--question", "Where was Mira Okafor born?",
+                     "--min-degree", min_degree, "--out", str(tmp_path / "out"))
+        assert result.exit_code == 0
+        assert result.output.strip() == selected
 
     def test_generate_template(self, runner, tmp_path):
         result = run(runner, "generate", "--toy", "--question", "q",

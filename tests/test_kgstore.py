@@ -1,6 +1,7 @@
 """Snapshot loading, relation profiles, and degree pruning."""
 
 import gc
+import json
 import random
 
 import pytest
@@ -82,6 +83,40 @@ class TestLoadSnapshot:
         with pytest.raises(LoadError) as err:
             load_snapshot(*files)
         assert ":2" in str(err.value)
+
+    def test_jsonl_rows_judged_like_json_loads(self, tmp_path):
+        lines = ['{"id": "Q1", "label": "ok"}', "{not json", '{"id": "Q2"} extra',
+                 '{"id": "Q3", "label": "x",}', "\ufeff{\"id\": \"Q4\", \"label\": \"b\"}",
+                 '["id", "label"]', "42", '"Q5"', "null", '{"label": "no id"}', "{}",
+                 '{"id": "Q6", "label": NaN}', '  {"id": "Q7", "label": "pad"}  ',
+                 '{"id": "Q8", "label": "a"}{"id": "Q9"}', '{"id": "Q10", "label": "\\u00e9"}',
+                 '{"id": 11, "label": [1, {"a": null}], "id": "Q11"}', '{"id": "Q12", "label"',
+                 '{"id": "Q13", "label": "\\ud800"}', "[", "", "   "]
+        path = tmp_path / "rows.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected_rows, expected_offenders = [], []
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                expected_offenders.append((str(path), lineno, f"invalid JSON: {exc.msg}"))
+                continue
+            if not isinstance(obj, dict):
+                expected_offenders.append((str(path), lineno, "expected a JSON object"))
+                continue
+            missing = [k for k in ("id", "label") if k not in obj]
+            if missing:
+                expected_offenders.append(
+                    (str(path), lineno, f"missing keys: {', '.join(missing)}"))
+                continue
+            expected_rows.append((lineno, obj))
+        offenders = []
+        assert list(_read_jsonl(path, ("id", "label"), offenders)) == expected_rows
+        assert offenders == expected_offenders
+        assert len(expected_rows) == 6 and len(offenders) == 13
 
     def test_bad_column_count(self, snapshot_files):
         files = snapshot_files(
@@ -276,6 +311,28 @@ class TestLoaderEquivalence:
         assert snap.profiles["X1"].incoming == frozenset()
         assert snap.profiles["X1"].outgoing == {"P1"}
         assert snap.entities["X1"].degree == 1
+
+    def test_self_loops_beside_outgoing_triples(self, snapshot_files):
+        # Q1's self-loop on P1 shares P1 with an outgoing triple; its P2
+        # self-loop has no outgoing twin; Q2's P3 self-loop is duplicated.
+        rows = ([EntityRecord("Q1", "a"), EntityRecord("Q2", "b"), EntityRecord("Q3", "c")],
+                [PredicateRecord(f"P{i}", f"r{i}") for i in (1, 2, 3)],
+                [("Q1", "P1", "Q1"), ("Q1", "P1", "Q2"), ("Q1", "P2", "Q1"),
+                 ("Q2", "P3", "Q2"), ("Q1", "P1", "Q1"), ("Q2", "P3", "Q2"),
+                 ("Q2", "P3", "Q3"), ("Q2", "P2", "lit")])
+        loaded = load_snapshot(*write_rows(snapshot_files, *rows))
+        built = snapshot_from_records(*rows)
+        assert_same_snapshot(loaded, built)
+        for snap in (loaded, built):
+            assert_profile_sets_shared(snap)
+            assert len(snap.triples) == 6
+            profiles = {e: (p.incoming, p.outgoing) for e, p in snap.profiles.items()}
+            assert profiles == {"Q1": ({"P1", "P2"}, {"P1"}),
+                                "Q2": ({"P1", "P3"}, {"P2", "P3"}),
+                                "Q3": ({"P3"}, set())}
+            for e, (inc, out) in profiles.items():
+                assert (inc, out) == brute_force_profile(rows[2], e)
+                assert snap.entities[e].degree == len(inc | out)
 
     def test_equal_sets_shared_across_directions_and_kinds(self, snapshot_files):
         rows = ([EntityRecord("Q1", "a"), EntityRecord("Q2", "b"), EntityRecord("Q3", "c")],

@@ -66,6 +66,42 @@ def random_corpus(rng, max_docs=50, max_terms=8, vocab_size=30):
     ]
 
 
+def reference_postings(records, params):
+    """Independent reference: the per-document ``Counter`` construction of
+    every index array, term ids in order of first occurrence."""
+    records = sorted(records, key=lambda r: r.id)
+    term_ids, terms, counts, distinct, doc_len = {}, [], [], [], []
+    for rec in records:
+        tokens = tokenize(retrieval._document_text(rec))
+        tf = Counter(tokens)
+        terms.extend(term_ids.setdefault(tok, len(term_ids)) for tok in tf)
+        counts.extend(tf.values())
+        distinct.append(len(tf))
+        doc_len.append(len(tokens))
+    n = len(records)
+    term_col = np.array(terms, dtype=np.int32)
+    order = np.argsort(term_col, kind="stable")
+    df = np.bincount(term_col, minlength=len(term_ids))
+    avgdl = sum(doc_len) / n
+    lengths = np.array(doc_len, dtype=np.int32)
+    k1, b = params.k1, params.b
+    if avgdl > 0:
+        norm = k1 * (1.0 - b + b * lengths / avgdl)
+    else:
+        norm = np.full(n, k1 * (1.0 - b))
+    return {
+        "term_ids": list(term_ids.items()),
+        "offsets": np.concatenate(([0], np.cumsum(df))),
+        "docs": np.repeat(np.arange(n, dtype=np.int32), distinct)[order],
+        "tfs": np.array(counts, dtype=np.float64)[order],
+        "doc_len": lengths,
+        "avgdl": avgdl,
+        "norm": norm,
+        "idf": np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()],
+                        dtype=np.float64),
+    }
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -246,7 +282,47 @@ class TestSearch:
         assert grown == ["P2", "P1"]
 
 
+# Unicode case folding (final sigma, dotted capital I), digits, underscores,
+# punctuation and empty strings, so some documents have no tokens at all.
+WORDS = ["ΟΔΟΣ", "Σ", "İstanbul", "straße", "Ǆemal", "x_1", "a1b2", "42", "2024",
+         "Café", "café", "CAFÉ", "naïve", "日本語", "--", "?!", "", "alpha", "beta",
+         "gamma", "delta", "alpha_beta"]
+
+
+def random_records(rng, n_docs):
+    def text(max_words):
+        return " ".join(rng.choice(WORDS) for _ in range(rng.randint(0, max_words)))
+    return [EntityRecord(f"Q{i}", text(4), text(6),
+                         tuple(text(2) for _ in range(rng.randint(0, 2))))
+            for i in range(1, n_docs + 1)]
+
+
 class TestBuild:
+    @pytest.mark.parametrize("block", [1, 3, 16, 256])
+    def test_matches_reference(self, monkeypatch, toy_snapshot, block):
+        monkeypatch.setattr(retrieval, "_BLOCK_DOCS", block)
+        rng = random.Random(20250807)
+        corpora = [random_records(rng, rng.randint(1, 40)) for _ in range(25)] + [
+            random_records(rng, 300),
+            [EntityRecord("Q1", "?!"), EntityRecord("Q2", "--", "_")],
+            [EntityRecord("Q1", "echo echo ECHO", "echo"), EntityRecord("Q2", "echo other")],
+            list(toy_snapshot.entities.values()),
+            list(toy_snapshot.predicates.values()),
+        ]
+        for records in corpora:
+            params = Bm25Params(rng.choice([0.0, 1.2, 5.18]), rng.choice([0.0, 0.4, 1.0]))
+            index = Bm25Index.build(records, params)
+            expected = reference_postings(records, params)
+            assert list(index.term_ids.items()) == expected.pop("term_ids")
+            assert index.avgdl == expected.pop("avgdl")
+            for name, array in expected.items():
+                assert getattr(index, name).dtype == array.dtype, name
+                assert np.array_equal(getattr(index, name), array), name
+        # The corpora include one with no tokens at all and one whose
+        # documents repeat a token.
+        assert reference_postings(corpora[-4], params)["avgdl"] == 0
+        assert reference_postings(corpora[-3], params)["tfs"].tolist() == [4.0, 1.0, 1.0]
+
     def test_empty_catalog(self):
         with pytest.raises(IndexBuildError):
             Bm25Index.build([], Bm25Params(1.2, 0.5))
