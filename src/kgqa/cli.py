@@ -474,7 +474,7 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
 @click.option("--execution-check", type=click.Choice(["on", "off"]), default="on",
               show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @_llm_options
 @_options(_OUTPUT_OPTIONS)
 @_wrap_errors
@@ -503,7 +503,7 @@ def evaluate(toy, entity_file, predicate_file, triple_file, dataset_path, split,
     out_path = _outdir(out)
     write_report_csv(report, out_path / "report.csv")
     write_trace_jsonl(report.outcomes, out_path / "trace.jsonl")
-    write_gold_cache(examples, out_path / "gold_cache.json")
+    write_gold_cache(report.outcomes, out_path / "gold_cache.json")
     for row in report.rows:
         click.echo(f"{row.dataset}: n={row.n} f1={row.f1:.4f} "
                    f"acc@1={row.acc_at_1:.4f} rejected={row.rejected_pct:.1f}%")

@@ -4,7 +4,8 @@ Datasets are JSON Lines with keys id, question, sparql, entities, split
 (plus optional predicates, dataset, answers). Reports are macro-averaged
 per dataset over the questions whose gold query ran; the others are
 counted apart. Every question also leaves a JSON trace line. Gold answer
-sets come from executing the gold query once and are cached.
+sets come from executing the gold query once; `evaluate_end_to_end` keeps
+them on the examples and `gold_cache.json` records them.
 """
 
 import csv
@@ -117,6 +118,12 @@ def evaluate_end_to_end(examples: Sequence[QaExample], cfg: PipelineConfig) -> E
             outcomes = list(pool.map(lambda ex: run_example(ex, cfg), examples))
     else:
         outcomes = [run_example(ex, cfg) for ex in examples]
+    # run_example only reads its example. The gold answers are kept on the
+    # examples here, on the caller's thread once every question is done, so
+    # a later run over the same examples reuses them.
+    for example, outcome in zip(examples, outcomes):
+        if example.gold_answers is None and not outcome.gold_error:
+            example.gold_answers = AnswerSet(frozenset(outcome.gold_answers))
     outcomes.sort(key=lambda o: (o.dataset, o.question_id))
 
     by_dataset: dict[str, list[PipelineOutcome]] = {}
@@ -194,13 +201,13 @@ def write_trace_jsonl(outcomes, path) -> None:
                                 sort_keys=True) + "\n")
 
 
-def write_gold_cache(examples, path) -> None:
-    """Write each example's gold answer set, keyed by question id; the file
-    depends only on the answers, so identical runs write identical bytes."""
+def write_gold_cache(outcomes, path) -> None:
+    """Write each outcome's gold answer set, keyed by question id, leaving out
+    questions whose gold query failed; the file depends only on the answers,
+    so identical runs write identical bytes."""
     payload = {
         "answers": {
-            ex.id: sorted(ex.gold_answers.terms)
-            for ex in examples if ex.gold_answers is not None
+            o.question_id: list(o.gold_answers) for o in outcomes if not o.gold_error
         },
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -9,15 +9,29 @@ File formats:
 
 Unknown JSON keys are ignored. Entity degrees are always recomputed from
 the triples; degree values present in the input are discarded.
+
+The deduplicated triples are kept as three integer columns in order of
+first occurrence. Entities share one id space as subjects and as objects;
+literals get ids after it. Each position has a CSR index whose rows for a
+key are in that order. Entity records and degrees are built at load; the
+rest is built on first use and kept: a row's ``Triple`` the first time a
+match pool or a read of ``Snapshot.triples`` reaches it (one object per row,
+shared by every pool), a key's match pool on its first ``match``, and an
+entity's relation profile on its first lookup. ``len(snapshot.triples)``
+builds nothing.
 """
 
 import gc
 import json
-from collections import defaultdict
+import threading
+from array import array
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
+
+import numpy as np
 
 from kgqa.errors import LoadError, NotFoundError
 from kgqa.ids import is_entity_id, is_predicate_id
@@ -53,29 +67,171 @@ class EntityRelationProfile:
 
 
 _EMPTY = frozenset()
+_SUBJECT, _PREDICATE, _OBJECT = range(3)  # column positions
 
 
-@dataclass(frozen=True)
+class TripleTable(Sequence):
+    """The deduplicated triples as integer columns, in order of first
+    occurrence; a read-only sequence of ``Triple``.
+
+    Term ids index ``terms`` (entities, then literals) and predicate ids
+    ``predicate_names``. ``len()`` builds nothing; a row's ``Triple`` is
+    built on its first read and then shared. Nothing here refers to the
+    snapshot, so a dropped snapshot is freed without the cyclic collector.
+    """
+
+    def __init__(self, columns, terms, predicate_names, key_ids, literal_ids):
+        self._columns = columns  # (subject, predicate, object) id arrays
+        self._terms = terms
+        self._predicate_names = predicate_names
+        # Per position, key string -> id; an object key not in its dict is
+        # looked up among the literals.
+        self._key_ids = key_ids
+        self._literal_ids = literal_ids
+        s, p, o = columns
+        self._index = (_csr(s, len(key_ids[_SUBJECT])),
+                       _csr(p, len(predicate_names)), _csr(o, len(terms)))
+        self._cache = [None] * len(s)  # row -> Triple once built
+        self._lock = threading.Lock()  # guards _cache
+        # Equal predicate sets are one object, shared by every profile holding it.
+        self._interned = {_EMPTY: _EMPTY}
+
+    def __len__(self):
+        return len(self._cache)
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, range):
+            return self._triples(list(rows))
+        return self._triples((rows,))[0]
+
+    def __iter__(self):
+        return iter(self._triples(range(len(self))))
+
+    def __eq__(self, other):
+        if isinstance(other, (TripleTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def _triples(self, rows):
+        """The Triples of ``rows``, a sequence of row numbers."""
+        cache = self._cache
+        with self._lock:
+            missing = [r for r in rows if cache[r] is None]
+            if missing:
+                terms, names = self._terms, self._predicate_names
+                s, p, o = (column[missing].tolist() for column in self._columns)
+                new_triple = tuple.__new__
+                for r, fields in zip(missing, zip(map(terms.__getitem__, s),
+                                                  map(names.__getitem__, p),
+                                                  map(terms.__getitem__, o))):
+                    cache[r] = new_triple(Triple, fields)
+            return tuple(map(cache.__getitem__, rows))
+
+    def _rows(self, position, key_id):
+        rows, offsets = self._index[position]
+        return rows[offsets[key_id]:offsets[key_id + 1]]
+
+    def _pool(self, position, key):
+        """The Triples holding ``key`` at ``position``, in row order; None
+        when no row could hold it."""
+        key_id = self._key_ids[position].get(key)
+        if key_id is None and position == _OBJECT:
+            key_id = self._literal_ids.get(key)
+        if key_id is None:
+            return None
+        return self._triples(self._rows(position, key_id).tolist())
+
+    def _profile(self, entity):
+        """The relation profile of a catalog entity; None for any other id."""
+        eid = self._key_ids[_SUBJECT].get(entity)
+        if eid is None:
+            return None
+        _, p, o = self._columns
+        # Only an entity object has incoming rows: any other object id is a
+        # literal's. A self-loop (e, r, e) counts r as incoming only.
+        out = self._rows(_SUBJECT, eid)
+        return EntityRelationProfile(self._terms[eid],
+                                     self._predicate_set(p[self._rows(_OBJECT, eid)]),
+                                     self._predicate_set(p[out[o[out] != eid]]))
+
+    def _predicate_set(self, ids):
+        names = self._predicate_names
+        preds = frozenset(map(names.__getitem__, set(ids.tolist())))
+        return self._interned.setdefault(preds, preds)
+
+
+class _Pools(dict):
+    """Key -> the Triples holding it at one position. A key's pool is built
+    on its first lookup and kept; an unknown key gets () and is not kept."""
+
+    def __init__(self, table, position):
+        super().__init__()
+        self._table, self._position = table, position
+
+    def __missing__(self, key):
+        pool = self._table._pool(self._position, key)
+        return () if pool is None else self.setdefault(key, pool)
+
+
+class _Profiles(Mapping):
+    """Read-only mapping of catalog entity ids, in catalog order, to their
+    relation profiles; each built on its first lookup and kept."""
+
+    def __init__(self, table):
+        self._table = table
+        self._memo = {}
+
+    def get(self, entity, default=None):
+        profile = self._memo.get(entity)
+        if profile is None:
+            profile = self._table._profile(entity)
+            if profile is None:
+                return default
+            profile = self._memo.setdefault(entity, profile)
+        return profile
+
+    def __getitem__(self, entity):
+        profile = self.get(entity)
+        if profile is None:
+            raise KeyError(entity)
+        return profile
+
+    def __contains__(self, entity):
+        return entity in self._table._key_ids[_SUBJECT]
+
+    def __iter__(self):
+        return iter(self._table._key_ids[_SUBJECT])
+
+    def __len__(self):
+        return len(self._table._key_ids[_SUBJECT])
+
+
+@dataclass(frozen=True, eq=False)
 class Snapshot:
-    """Loaded knowledge graph; treat as read-only after construction."""
+    """Loaded knowledge graph; read-only. ``triples`` is a sequence view of
+    the triple columns and ``profiles`` a mapping view; the ``_by_*`` pools
+    fill as ``match`` first uses each key."""
 
     entities: dict[str, EntityRecord]
     predicates: dict[str, PredicateRecord]
-    triples: tuple[Triple, ...]
-    profiles: dict[str, EntityRelationProfile]
-    _by_subject: dict[str, tuple[Triple, ...]] = field(repr=False, default_factory=dict)
-    _by_object: dict[str, tuple[Triple, ...]] = field(repr=False, default_factory=dict)
-    _by_predicate: dict[str, tuple[Triple, ...]] = field(repr=False, default_factory=dict)
+    triples: TripleTable
+    profiles: Mapping[str, EntityRelationProfile]
+    _by_subject: dict[str, tuple[Triple, ...]] = field(repr=False)
+    _by_object: dict[str, tuple[Triple, ...]] = field(repr=False)
+    _by_predicate: dict[str, tuple[Triple, ...]] = field(repr=False)
 
     def match(self, s: Optional[str] = None, p: Optional[str] = None,
               o: Optional[str] = None) -> tuple[Triple, ...]:
         """Triples matching the given concrete positions (None = wildcard)."""
         if s is not None:
-            pool = self._by_subject.get(s, ())
+            pool = self._by_subject[s]
         elif o is not None:
-            pool = self._by_object.get(o, ())
+            pool = self._by_object[o]
         elif p is not None:
-            pool = self._by_predicate.get(p, ())
+            pool = self._by_predicate[p]
         else:
             pool = self.triples
         return tuple(
@@ -206,84 +362,96 @@ def snapshot_from_records(entity_records: Iterable[EntityRecord],
 
 def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
            predicates: dict[str, PredicateRecord], offenders, failure) -> Snapshot:
-    """Validate, dedupe and index (lineno, (s, p, o)) rows in one pass, then
-    build each entity's record and relation profile from its index groups.
+    """Validate (lineno, (s, p, o)) rows into integer columns in one pass,
+    dedupe them and index each position, then build each entity's record.
 
     ``entities`` maps ids to (id, label, description, aliases). An object in
     ``objects`` is an entity, any other Q-shaped object an unknown entity, the
     rest literals. Triples hold the catalogs' own id strings. Raises
     LoadError(failure) if ``offenders`` is not empty at the end.
     """
-    triples: dict[Triple, None] = {}
-    by_subject: defaultdict[str, list[Triple]] = defaultdict(list)
-    by_object: defaultdict[str, list[Triple]] = defaultdict(list)
-    by_predicate: defaultdict[str, list[Triple]] = defaultdict(list)
-    loops = set()  # subjects of self-loops whose object is an entity
-    new_triple = tuple.__new__
+    entity_ids = dict(zip(entities, range(len(entities))))
+    object_ids = entity_ids if objects is entities else {e: entity_ids[e] for e in objects}
+    predicate_ids = dict(zip(predicates, range(len(predicates))))
+    literal_ids: dict[str, int] = {}  # literals get ids after the entities
+    n_entities = len(entity_ids)
+    columns = array("i")  # s, p, o of each row, in file order
+    append = columns.append
     for lineno, (s, p, o) in rows:
-        subject = entities.get(s)
-        if subject is None:
+        sid = entity_ids.get(s)
+        if sid is None:
             offenders.append((source, lineno, f"unknown subject entity {s}"))
             continue
-        predicate = predicates.get(p)
-        if predicate is None:
+        pid = predicate_ids.get(p)
+        if pid is None:
             offenders.append((source, lineno, f"unknown predicate {p}"))
             continue
-        s, p, obj = subject[0], predicate.id, objects.get(o)
-        if obj is not None:
-            o = obj[0]
-        elif is_entity_id(o):
-            offenders.append((source, lineno, f"unknown object entity {o}"))
-            continue
-        t = new_triple(Triple, (s, p, o))
-        size = len(triples)
-        triples[t] = None
-        if len(triples) != size:
-            by_subject[s].append(t)
-            by_object[o].append(t)
-            by_predicate[p].append(t)
-            if obj is subject:
-                loops.add(s)
+        oid = object_ids.get(o)
+        if oid is None:
+            oid = literal_ids.get(o)
+            if oid is None:
+                if is_entity_id(o):
+                    offenders.append((source, lineno, f"unknown object entity {o}"))
+                    continue
+                oid = literal_ids[o] = n_entities + len(literal_ids)
+        append(sid)
+        append(pid)
+        append(oid)
     if offenders:
         raise LoadError(failure, offenders, total=len(offenders))
-    unique = tuple(triples)
-    del triples  # free the dedupe table before the records are built
-    for index in (by_subject, by_object, by_predicate):
-        for k, group in index.items():  # frees each list as it is replaced
-            index[k] = tuple(group)
-
-    # Equal predicate sets are one object, shared by every profile holding it.
-    interned = {_EMPTY: _EMPTY}
-    predicate_of = itemgetter(1)
-
-    def predicate_set(group):
-        preds = frozenset(group)
-        return interned.setdefault(preds, preds)
-
-    records: dict[str, EntityRecord] = {}
-    profiles: dict[str, EntityRelationProfile] = {}
-    for e, fields in entities.items():
-        # Only an id in ``objects`` has incoming predicates: as an object, any
-        # other id is a literal. A self-loop (e, r, e) counts r as incoming only.
-        out = by_subject.get(e, ())
-        if e not in objects:
-            inc = _EMPTY
-        else:
-            inc = predicate_set(map(predicate_of, by_object.get(e, ())))
-            if e in loops:
-                out = [t for t in out if t[2] != e]
-        out = predicate_set(map(predicate_of, out))
-        profiles[e] = EntityRelationProfile(e, inc, out)
-        records[e] = EntityRecord(*fields, degree=len(inc | out))
+    s, p, o = np.array(columns, dtype=np.intc).reshape(-1, 3).T
+    del columns
+    keep = _first_occurrences(s, p, o)
+    s, p, o = s[keep], p[keep], o[keep]
+    degrees = _degrees(s, p, o, n_entities, len(predicate_ids)).tolist()
+    records = {e: EntityRecord(*fields, degree=degree)
+               for (e, fields), degree in zip(entities.items(), degrees)}
+    terms = [*map(itemgetter(0), entities.values()), *literal_ids]
+    table = TripleTable((s, p, o), terms, [r.id for r in predicates.values()],
+                        (entity_ids, predicate_ids, object_ids), literal_ids)
     return Snapshot(
         entities=records,
         predicates=predicates,
-        triples=unique,
-        profiles=profiles,
-        _by_subject=dict(by_subject),
-        _by_object=dict(by_object),
-        _by_predicate=dict(by_predicate),
+        triples=table,
+        profiles=_Profiles(table),
+        _by_subject=_Pools(table, _SUBJECT),
+        _by_object=_Pools(table, _OBJECT),
+        _by_predicate=_Pools(table, _PREDICATE),
     )
+
+
+def _first_occurrences(*columns):
+    """Ascending row numbers of the first occurrence of each distinct row.
+
+    lexsort is stable, so each run of equal rows starts with its first
+    occurrence; no key packs several columns, so none can overflow."""
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    return np.sort(order[new])
+
+
+def _degrees(s, p, o, n_entities, n_predicates):
+    """Distinct predicates per entity over both directions: the object's
+    incoming ones (entity objects only) and the subject's outgoing ones, a
+    self-loop (e, r, e) counting only as incoming."""
+    incoming, outgoing = o < n_entities, s != o
+    entity = np.concatenate((o[incoming], s[outgoing])).astype(np.int64)
+    predicate = np.concatenate((p[incoming], p[outgoing]))
+    n_predicates = max(n_predicates, 1)
+    pairs = np.unique(entity * n_predicates + predicate)  # < 2**62: no overflow
+    return np.bincount(pairs // n_predicates, minlength=n_entities)
+
+
+def _csr(keys, size):
+    """(rows, offsets): the rows holding key k are rows[offsets[k]:offsets[k + 1]],
+    in ascending order because the sort is stable."""
+    offsets = np.zeros(size + 1, dtype=np.intc)
+    offsets[1:] = np.cumsum(np.bincount(keys, minlength=size))
+    return np.argsort(keys, kind="stable").astype(np.intc), offsets
 
 
 def get_entity_relations(snapshot: Snapshot, entity_id: str) -> EntityRelationProfile:

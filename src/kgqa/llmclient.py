@@ -32,6 +32,10 @@ class ReasonerClientConfig:
             raise ConfigError("timeout must be > 0")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        if self.max_in_flight < 1:
+            raise ConfigError("max_in_flight must be >= 1")
+        if self.backoff_base < 0:
+            raise ConfigError("backoff_base must be >= 0")
 
 
 class ChatCompletionsClient:

@@ -77,9 +77,7 @@ def _candidate_records(index, ids):
 def _gold_answers(example, cfg) -> AnswerSet:
     if example.gold_answers is not None:
         return example.gold_answers
-    answers = cfg.executor.run(example.gold_query)
-    example.gold_answers = answers  # cache for reuse across runs
-    return answers
+    return cfg.executor.run(example.gold_query)
 
 
 def _stage(pool, fn, *args, **kwargs):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import requests
 
-from kgqa.errors import RemoteExecutionError
+from kgqa.errors import ConfigError, RemoteExecutionError
 from kgqa.sparql.answers import AnswerSet, normalize_term
 
 logger = logging.getLogger("kgqa.sparql.remote")
@@ -33,6 +33,18 @@ class EndpointConfig:
     user_agent: str = "kgqa/0.1 (research pipeline; batch queries)"
     max_in_flight: int = 2
     backoff_base: float = 1.0
+
+    def __post_init__(self):
+        if self.timeout <= 0:
+            raise ConfigError("timeout must be > 0")
+        if self.max_retries < 0:
+            raise ConfigError("max_retries must be >= 0")
+        if self.politeness_delay < 0:
+            raise ConfigError("politeness_delay must be >= 0")
+        if self.max_in_flight < 1:
+            raise ConfigError("max_in_flight must be >= 1")
+        if self.backoff_base < 0:
+            raise ConfigError("backoff_base must be >= 0")
 
 
 def _parse_results(payload) -> AnswerSet:

@@ -337,6 +337,14 @@ class TestExitCodes:
                                      "--preset", "nope", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_evaluate_workers_below_one_is_config_error(self, runner, tmp_path, workers):
+        result = run(runner, "evaluate", "--toy", "--workers", workers,
+                     "--out", str(tmp_path / "out"))
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestDeterminism:
     def test_evaluate_outputs_byte_identical(self, runner, tmp_path):

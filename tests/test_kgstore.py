@@ -3,6 +3,9 @@
 import gc
 import json
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -11,6 +14,7 @@ from kgqa.kgstore import (
     EntityRecord,
     PredicateRecord,
     Triple,
+    TripleTable,
     _read_jsonl,
     get_entity_relations,
     load_snapshot,
@@ -231,12 +235,44 @@ def write_rows(files, entities, predicates, triples):
         [(p.id, p.label, p.description) for p in predicates], triples)
 
 
-def assert_same_snapshot(a, b):
-    """Equal field by field, dict and tuple order included."""
-    for name in ("entities", "predicates", "profiles", "_by_subject", "_by_object",
-                 "_by_predicate"):
-        assert list(getattr(a, name).items()) == list(getattr(b, name).items()), name
-    assert a.triples == b.triples
+def snapshot_reads(snap, drop=()):
+    """Every public read, in order: records, profiles, triples and the match
+    pool of every subject, object and predicate key; ``drop`` ids left out."""
+    triples = list(snap.triples)
+    return {
+        "entities": [(e, r) for e, r in snap.entities.items() if e not in drop],
+        "predicates": list(snap.predicates.items()),
+        "profiles": [(e, p) for e, p in snap.profiles.items() if e not in drop],
+        "triples": triples,
+        "by_subject": [snap.match(s=e) for e in snap.entities if e not in drop],
+        "by_object": [snap.match(o=o) for o in dict.fromkeys(t.object for t in triples)],
+        "by_predicate": [snap.match(p=p) for p in snap.predicates],
+    }
+
+
+def assert_same_snapshot(a, b, drop=()):
+    """Equal read by read, dict and tuple order included."""
+    reads_a, reads_b = snapshot_reads(a, drop), snapshot_reads(b, drop)
+    for name in reads_a:
+        assert reads_a[name] == reads_b[name], name
+
+
+def assert_pools(snap, expected, rng):
+    """Every subject, object and predicate pool, first touched in a random
+    order before anything else is read, equals a scan of ``expected``; a row
+    reached through any of its pools or through ``triples`` is one object."""
+    keys = [("s", e) for e in snap.entities] + [("p", p) for p in snap.predicates]
+    keys += [("o", o) for o in dict.fromkeys(t[2] for t in expected)]
+    rng.shuffle(keys)
+    position = {"s": 0, "p": 1, "o": 2}
+    seen = {}
+    for kind, key in keys:
+        pool = snap.match(**{kind: key})
+        assert pool == tuple(t for t in expected if t[position[kind]] == key)
+        for t in pool:
+            assert seen.setdefault(t, t) is t
+    assert list(snap.triples) == expected
+    assert all(seen[t] is t for t in snap.triples)
 
 
 def assert_profile_sets_shared(snap):
@@ -255,10 +291,12 @@ class TestLoaderEquivalence:
             entities, predicates, triples = random_rows(rng)
             loaded = load_snapshot(*write_rows(snapshot_files, entities, predicates, triples))
             built = snapshot_from_records(entities, predicates, triples)
+            unique = list(dict.fromkeys(Triple(*t) for t in triples))
+            assert_pools(loaded, unique, rng)
+            assert_pools(built, unique, rng)
             assert_same_snapshot(loaded, built)
             assert_profile_sets_shared(loaded)
             assert_profile_sets_shared(built)
-            assert list(loaded.triples) == list(dict.fromkeys(Triple(*t) for t in triples))
             for rec in entities:
                 expected_in, expected_out = brute_force_profile(triples, rec.id)
                 assert loaded.profiles[rec.id].incoming == expected_in
@@ -296,12 +334,11 @@ class TestLoaderEquivalence:
             with_x = snapshot_from_records([*entities, EntityRecord("X1", "x")], predicates,
                                            triples)
             assert with_x.triples == plain.triples
-            assert with_x._by_object == plain._by_object
+            assert with_x.match(o="X1") == plain.match(o="X1") == (("Q1", "P1", "X1"),)
             assert with_x.profiles["X1"].incoming == frozenset()
             assert with_x.entities["X1"].degree == 0
             assert_profile_sets_shared(with_x)
-            del with_x.entities["X1"], with_x.profiles["X1"]
-            assert_same_snapshot(with_x, plain)
+            assert_same_snapshot(with_x, plain, drop={"X1"})
 
 
     def test_non_entity_record_self_loop_is_outgoing(self):
@@ -348,6 +385,111 @@ class TestLoaderEquivalence:
 
     def test_profile_sets_shared_on_toy_graph(self, toy_snapshot):
         assert_profile_sets_shared(toy_snapshot)
+
+
+class TestBuiltOnFirstUse:
+    @pytest.fixture(params=["load", "records"])
+    def build(self, request, snapshot_files):
+        rows = random_rows(random.Random(17))
+        rows[2].append(("Q1", "P1", "lit"))
+        if request.param == "records":
+            return lambda: snapshot_from_records(*rows)
+        files = write_rows(snapshot_files, *rows)
+        return lambda: load_snapshot(*files)
+
+    @pytest.fixture
+    def snap(self, build):
+        return build()
+
+    def test_dropped_snapshot_is_freed_without_the_collector(self, build):
+        snap = build()
+        list(snap.triples)
+        snap.match(s="Q1"), snap.match(o="lit"), snap.match(p="P1"), snap.match(s="Q404")
+        list(snap.profiles.values()), snap.profiles.get("Q404")
+        refs = [weakref.ref(x) for x in (snap, snap.triples, snap.profiles, snap._by_object)]
+        gc.disable()
+        try:
+            del snap
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+    def test_len_builds_no_triple(self, snap, monkeypatch):
+        n = len(snap.match())
+
+        def no_triples(self, rows):
+            raise AssertionError("built a Triple")
+
+        monkeypatch.setattr(TripleTable, "_triples", no_triples)
+        fresh = snapshot_from_records(snap.entities.values(), snap.predicates.values(),
+                                      [("Q1", "P1", "lit")] * 3)
+        assert len(fresh.triples) == 1 and fresh.triples
+        assert len(snap.triples) == n
+        with pytest.raises(AssertionError, match="built a Triple"):
+            fresh.match(s="Q1")
+
+    def test_unknown_ids_get_nothing_and_are_not_kept(self, snap):
+        for key in ("Q1", "P1", "lit"):
+            snap.match(s=key), snap.match(o=key), snap.match(p=key)
+        snap.profiles.get("Q1")
+        memos = (snap._by_subject, snap._by_object, snap._by_predicate, snap.profiles._memo)
+        sizes = [len(memo) for memo in memos]
+        for key in ("Q404", "P404", "absent", "lit2", ""):
+            assert snap.match(s=key) == snap.match(o=key) == snap.match(p=key) == ()
+            assert snap.profiles.get(key) is None and key not in snap.profiles
+            with pytest.raises(KeyError):
+                snap.profiles[key]
+        assert snap.match(s="lit") == snap.match(s="P1") == snap.match(p="Q1") == ()
+        assert [len(memo) for memo in memos] == sizes
+
+    @pytest.mark.parametrize("round_", range(4))
+    def test_threads_first_touching_the_same_keys_agree(self, round_):
+        rows = ([EntityRecord(f"Q{i}", f"e{i}") for i in range(1, 9)],
+                [PredicateRecord(f"P{i}", f"p{i}") for i in range(1, 4)],
+                [(f"Q{1 + i % 5}", f"P{1 + i % 3}", f"Q{1 + i % 7}" if i % 4 else f"lit{i % 9}")
+                 for i in range(300)])
+        reference = snapshot_from_records(*rows)
+        snap = snapshot_from_records(*rows)
+        keys = [("s", e) for e in snap.entities] + [("p", p) for p in snap.predicates]
+        keys += [("o", o) for o in dict.fromkeys(t.object for t in reference.triples)]
+        keys += [("profile", e) for e in snap.entities]
+
+        def read(target, kind, key):
+            if kind == "profile":
+                return target.profiles[key]
+            return target.match(**{kind: key})
+
+        expected = [read(reference, *key) for key in keys]
+        n_threads = 8
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def worker(i):
+            order = list(range(len(keys)))
+            random.Random(round_ * n_threads + i).shuffle(order)
+            barrier.wait(timeout=10)
+            got = [None] * len(keys)
+            for j in order:
+                got[j] = read(snap, *keys[j])
+            results[i] = got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got == expected
+            # Every thread got the kept profiles and one Triple object per row.
+            for a, b in zip(got, results[0]):
+                assert all(x is y for x, y in zip(a, b)) if isinstance(a, tuple) else a is b
+        assert_pools(snap, list(reference.triples), random.Random(round_))
 
 
 class TestCollectorState:

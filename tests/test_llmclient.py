@@ -24,6 +24,17 @@ def test_config_validation():
     assert ReasonerClientConfig(base_url="x", model_name="m").temperature == 0.0
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("max_in_flight", 0, "max_in_flight must be >= 1"),
+    ("max_in_flight", -1, "max_in_flight must be >= 1"),
+    ("backoff_base", -0.5, "backoff_base must be >= 0"),
+])
+def test_config_rejects_settings_that_hang_or_crash(field, value, message):
+    with pytest.raises(ConfigError, match=message) as err:
+        ReasonerClientConfig(base_url="x", model_name="m", **{field: value})
+    assert err.value.exit_code == 2
+
+
 def test_request_shape_and_bearer_token(fake_server, monkeypatch):
     monkeypatch.setenv("KGQA_API_KEY", "sk-verysecret")
     fake_server.enqueue_chat("hello")

@@ -13,8 +13,10 @@ from kgqa import data as toy_data
 from kgqa.disambiguation import GoldOracle, RemoteReasoner
 from kgqa.errors import DisambiguationError
 from kgqa.evaluation import (
+    QaExample,
     evaluate_end_to_end,
     load_dataset,
+    write_gold_cache,
     write_report_csv,
     write_trace_jsonl,
 )
@@ -115,6 +117,49 @@ class TestOracleBound:
         assert serial.rows == parallel.rows
         assert [o.question_id for o in serial.outcomes] == \
             [o.question_id for o in parallel.outcomes]
+
+
+class TestGoldAnswersOnExamples:
+    def test_run_example_only_reads_the_example(self, toy_snapshot, toy_examples):
+        cfg = oracle_config(toy_snapshot, toy_examples)
+        before = [dataclasses.replace(ex) for ex in toy_examples]
+        outcomes = [run_example(ex, cfg) for ex in toy_examples]
+        assert toy_examples == before
+        assert all(ex.gold_answers is None for ex in toy_examples)
+        assert all(o.gold_answers for o in outcomes)
+
+    def test_evaluate_keeps_gold_answers_on_the_calling_thread(self, toy_snapshot,
+                                                                toy_examples):
+        writers = []
+
+        class Recording(QaExample):
+            def __setattr__(self, name, value):
+                if name == "gold_answers":
+                    writers.append(threading.current_thread())
+                super().__setattr__(name, value)
+
+        examples = [Recording(**vars(ex)) for ex in toy_examples]
+        examples[0].gold_query = "SELECT ?x WHERE { FILTER }"  # a gold error
+        writers.clear()
+        cfg = oracle_config(toy_snapshot, examples)
+        cfg.workers = 4
+        report = evaluate_end_to_end(examples, cfg)
+        assert writers == [threading.main_thread()] * (len(examples) - 1)
+        assert examples[0].gold_answers is None
+        by_id = {o.question_id: o for o in report.outcomes}
+        for ex in examples[1:]:
+            assert tuple(ex.gold_answers.sorted_terms()) == by_id[ex.id].gold_answers
+
+    def test_gold_cache_holds_the_outcomes_without_gold_errors(self, toy_snapshot,
+                                                               toy_examples, tmp_path):
+        examples = toy_examples[:3]
+        examples[1].gold_query = "SELECT ?x WHERE { FILTER }"
+        report = evaluate_end_to_end(examples, oracle_config(toy_snapshot, examples))
+        write_gold_cache(report.outcomes, tmp_path / "gold_cache.json")
+        cached = json.loads((tmp_path / "gold_cache.json").read_text())
+        assert cached == {"answers": {o.question_id: list(o.gold_answers)
+                                      for o in report.outcomes if not o.gold_error}}
+        assert sorted(cached["answers"]) == [examples[0].id, examples[2].id]
 
 
 class TestTemplateBaseline:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from kgqa.errors import RemoteExecutionError
+from kgqa.errors import ConfigError, RemoteExecutionError
 from kgqa.sparql import EndpointConfig, RemoteExecutor, execute_remote
 
 
@@ -19,6 +19,26 @@ def bindings_doc(var, values):
         "head": {"vars": [var]},
         "results": {"bindings": [{var: value} for value in values]},
     }
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("timeout", 0, "timeout must be > 0"),
+        ("timeout", -1.0, "timeout must be > 0"),
+        ("max_retries", -1, "max_retries must be >= 0"),
+        ("politeness_delay", -0.1, "politeness_delay must be >= 0"),
+        ("max_in_flight", 0, "max_in_flight must be >= 1"),
+        ("backoff_base", -1.0, "backoff_base must be >= 0"),
+    ])
+    def test_rejects_settings_that_hang_or_crash(self, field, value, message):
+        with pytest.raises(ConfigError, match=message) as err:
+            _config("http://127.0.0.1:9/sparql", **{field: value})
+        assert err.value.exit_code == 2
+
+    def test_boundary_values_are_accepted(self):
+        cfg = _config("http://127.0.0.1:9/sparql", max_retries=0, politeness_delay=0.0,
+                      max_in_flight=1, backoff_base=0.0)
+        assert (cfg.max_retries, cfg.max_in_flight) == (0, 1)
 
 
 class TestProtocol:
