@@ -19,20 +19,34 @@ match pool or a read of ``Snapshot.triples`` reaches it (one object per row,
 shared by every pool), a key's match pool on its first ``match``, and an
 entity's relation profile on its first lookup. ``len(snapshot.triples)``
 builds nothing.
+
+A load digests the bytes of its three input files (blake2b). A snapshot
+loaded before from identical bytes is rebuilt from its ``kgqa.cache``
+entry instead of parsed: the deduplicated columns, the degrees, and the
+catalog and literal strings, assembled by the same code as a parse. The
+entry is written only after a parse succeeds, so a file that raises
+LoadError is parsed, and reported, every time. Bump ``SNAPSHOT_FORMAT``
+when the entry's arrays or their meaning change, or when parsing the same
+bytes would give another snapshot (a new validation rule, another id
+order), so that no entry written before the change is read after it.
 """
 
 import gc
+import hashlib
+import io
 import json
 import threading
 from array import array
 from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
+from kgqa import cache
 from kgqa.errors import LoadError, NotFoundError
 from kgqa.ids import is_entity_id, is_predicate_id
 
@@ -68,6 +82,7 @@ class EntityRelationProfile:
 
 _EMPTY = frozenset()
 _SUBJECT, _PREDICATE, _OBJECT = range(3)  # column positions
+SNAPSHOT_FORMAT = 1  # version of the cache entry; see the module docstring
 
 
 class TripleTable(Sequence):
@@ -247,11 +262,11 @@ class Snapshot:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _read_jsonl(path, required, offenders):
-    """Yield (lineno, object) per well-formed row; malformed rows go to
-    ``offenders`` as they are read."""
+def _read_jsonl(fh, path, required, offenders):
+    """Yield (lineno, object) per well-formed row of the text file ``fh``;
+    malformed rows go to ``offenders`` as they are read."""
     keys = frozenset(required)
-    with open(path, encoding="utf-8") as fh:
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -292,12 +307,72 @@ def _collector_paused():
 
 @_collector_paused()
 def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
-    """Load and cross-validate a snapshot; raises LoadError on any defect."""
+    """Load and cross-validate a snapshot; raises LoadError on any defect.
+
+    The snapshot of byte-identical input files is rebuilt from its cache
+    entry (``kgqa.cache``) when there is one; otherwise it is parsed and,
+    if that succeeds, an entry is written.
+    """
+    paths = (entity_file, predicate_file, triple_file)
+    key = cache.digest(*map(_file_digest, paths))
+    snapshot = cache.load("snapshot", SNAPSHOT_FORMAT, key, _from_entry)
+    if snapshot is None:
+        hashes = []
+        snapshot = _parse(paths, hashes)
+        cache.store("snapshot", SNAPSHOT_FORMAT, cache.digest(*(h.digest() for h in hashes)),
+                    _entry(snapshot))
+    return snapshot
+
+
+class _Digested(io.RawIOBase):
+    """An unbuffered binary file that feeds every byte read to ``hash``;
+    closing it closes the file."""
+
+    def __init__(self, fh):
+        super().__init__()
+        self._fh = fh
+        self.hash = hashlib.blake2b(digest_size=20)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._fh.readinto(buffer)
+        self.hash.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self):
+        self._fh.close()
+        super().close()
+
+
+def _file_digest(path) -> bytes:
+    """The blake2b digest of a file's bytes, read in blocks."""
+    with _Digested(open(path, "rb", buffering=0)) as raw:
+        buffer = bytearray(1 << 20)
+        while raw.readinto(buffer):
+            pass
+    return raw.hash.digest()
+
+
+def _text(path, hashes):
+    """``path`` opened as ``open(path, encoding="utf-8")`` opens it; the hash
+    of the bytes read through it is appended to ``hashes``."""
+    raw = _Digested(open(path, "rb", buffering=0))
+    hashes.append(raw.hash)
+    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
+
+
+def _parse(paths, hashes) -> Snapshot:
+    """The snapshot of the three input files ``paths``, parsed. Each file is
+    read to its end once, through the hash appended to ``hashes``."""
+    entity_file, predicate_file, triple_file = paths
     offenders: list[tuple[str, int, str]] = []
     # A catalog's failed checks follow all of that file's parse errors.
     invalid: list[tuple[str, int, str]] = []
     entities: dict[str, tuple] = {}  # records are built once degrees are known
-    for lineno, obj in _read_jsonl(entity_file, ("id", "label"), offenders):
+    rows = _read_jsonl(_text(entity_file, hashes), entity_file, ("id", "label"), offenders)
+    for lineno, obj in rows:
         eid = str(obj["id"])
         if not is_entity_id(eid):
             invalid.append((str(entity_file), lineno, f"bad entity id {eid!r}"))
@@ -315,7 +390,9 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
     invalid.clear()
 
     predicates: dict[str, PredicateRecord] = {}
-    for lineno, obj in _read_jsonl(predicate_file, ("id", "label"), offenders):
+    rows = _read_jsonl(_text(predicate_file, hashes), predicate_file, ("id", "label"),
+                       offenders)
+    for lineno, obj in rows:
         pid = str(obj["id"])
         if not is_predicate_id(pid):
             invalid.append((str(predicate_file), lineno, f"bad predicate id {pid!r}"))
@@ -330,7 +407,7 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
                                           description=str(obj.get("description") or ""))
     offenders += invalid
 
-    with open(triple_file, encoding="utf-8") as fh:
+    with _text(triple_file, hashes) as fh:
         # Every catalog id passed is_entity_id: the catalog is also ``objects``.
         return _build(_tsv_rows(fh, str(triple_file), offenders), str(triple_file),
                       entities, entities, predicates, offenders, "snapshot load failed")
@@ -403,12 +480,23 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
     del columns
     keep = _first_occurrences(s, p, o)
     s, p, o = s[keep], p[keep], o[keep]
-    degrees = _degrees(s, p, o, n_entities, len(predicate_ids)).tolist()
+    degrees = _degrees(s, p, o, n_entities, len(predicate_ids))
+    return _assemble((s, p, o), degrees, entities, predicates,
+                     (entity_ids, predicate_ids, object_ids), literal_ids)
+
+
+def _assemble(columns, degrees, entities, predicates, key_ids, literal_ids) -> Snapshot:
+    """The snapshot of deduplicated (s, p, o) id columns.
+
+    ``entities`` maps ids to (id, label, description, aliases), ``degrees``
+    follows its order, and ``key_ids`` holds the subject, predicate and
+    object id of each catalog id; literals have ids from ``len(entities)``.
+    """
     records = {e: EntityRecord(*fields, degree=degree)
-               for (e, fields), degree in zip(entities.items(), degrees)}
+               for (e, fields), degree in zip(entities.items(), degrees.tolist())}
     terms = [*map(itemgetter(0), entities.values()), *literal_ids]
-    table = TripleTable((s, p, o), terms, [r.id for r in predicates.values()],
-                        (entity_ids, predicate_ids, object_ids), literal_ids)
+    table = TripleTable(columns, terms, [r.id for r in predicates.values()], key_ids,
+                        literal_ids)
     return Snapshot(
         entities=records,
         predicates=predicates,
@@ -418,6 +506,68 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
         _by_object=_Pools(table, _OBJECT),
         _by_predicate=_Pools(table, _PREDICATE),
     )
+
+
+_INTC = np.dtype(np.intc)
+
+
+def _within(ids, size):
+    """Whether every id is in [0, size)."""
+    return not len(ids) or (ids.min() >= 0 and ids.max() < size)
+
+
+_FIELDS = ("id", "label", "description")
+# The string columns of a snapshot cache entry, each a blob with offsets.
+_STRINGS = (*(f"entity_{f}" for f in _FIELDS), "entity_aliases",
+            *(f"predicate_{f}" for f in _FIELDS), "literals")
+
+
+def _entry(snapshot: Snapshot) -> dict:
+    """The cache entry of a snapshot: its columns, degrees and strings."""
+    table = snapshot.triples
+    records = list(snapshot.entities.values())
+    predicates = list(snapshot.predicates.values())
+    arrays = dict(zip("spo", table._columns))
+    arrays["degrees"] = np.array([r.degree for r in records], dtype=np.int64)
+    arrays["alias_counts"] = np.array([len(r.aliases) for r in records], dtype=np.int64)
+    columns = {f"entity_{f}": map(attrgetter(f), records) for f in _FIELDS}
+    columns["entity_aliases"] = chain.from_iterable(r.aliases for r in records)
+    columns.update((f"predicate_{f}", map(attrgetter(f), predicates)) for f in _FIELDS)
+    columns["literals"] = table._terms[len(records):]
+    for name, strings in columns.items():
+        arrays[name], arrays[name + "_ends"] = cache.pack_strings(strings)
+    return arrays
+
+
+def _from_entry(arrays) -> Snapshot:
+    """The snapshot from the arrays ``_entry`` wrote; ValueError if they disagree."""
+    # Each blob is dropped once decoded.
+    strings = {name: cache.unpack_strings(arrays.pop(name), arrays.pop(name + "_ends"))
+               for name in _STRINGS}
+    ids, labels, descriptions = (strings[f"entity_{f}"] for f in _FIELDS)
+    pids, plabels, pdescriptions = (strings[f"predicate_{f}"] for f in _FIELDS)
+    s, p, o, degrees, alias_counts = (arrays[name] for name in
+                                      ("s", "p", "o", "degrees", "alias_counts"))
+    n, m = len(ids), len(pids)
+    n_terms = n + len(strings["literals"])
+    if (not len(labels) == len(descriptions) == len(degrees) == len(alias_counts) == n
+            or not len(plabels) == len(pdescriptions) == m
+            or (alias_counts < 0).any() or alias_counts.sum() != len(strings["entity_aliases"])
+            or not len(s) == len(p) == len(o) or {s.dtype, p.dtype, o.dtype} != {_INTC}
+            or not (_within(s, n) and _within(p, m) and _within(o, n_terms))):
+        raise ValueError("snapshot entry arrays disagree")
+    bounds = alias_counts.cumsum().tolist()
+    aliases = map(tuple, map(strings["entity_aliases"].__getitem__,
+                             map(slice, [0, *bounds], bounds)))
+    entities = dict(zip(ids, zip(ids, labels, descriptions, aliases)))
+    predicates = {pid: PredicateRecord(pid, label, description)
+                  for pid, label, description in zip(pids, plabels, pdescriptions)}
+    if len(entities) != n or len(predicates) != m:
+        raise ValueError("snapshot entry repeats an id")
+    entity_ids = dict(zip(entities, range(n)))
+    literal_ids = dict(zip(strings["literals"], range(n, n_terms)))
+    return _assemble((s, p, o), degrees, entities, predicates,
+                     (entity_ids, dict(zip(predicates, range(m))), entity_ids), literal_ids)
 
 
 def _first_occurrences(*columns):
@@ -442,8 +592,11 @@ def _degrees(s, p, o, n_entities, n_predicates):
     entity = np.concatenate((o[incoming], s[outgoing])).astype(np.int64)
     predicate = np.concatenate((p[incoming], p[outgoing]))
     n_predicates = max(n_predicates, 1)
-    pairs = np.unique(entity * n_predicates + predicate)  # < 2**62: no overflow
-    return np.bincount(pairs // n_predicates, minlength=n_entities)
+    keys = np.sort(entity * n_predicates + predicate)  # < 2**62: no overflow
+    # A key equal to the one before it is a repeated (entity, predicate) pair.
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return np.bincount(keys[distinct] // n_predicates, minlength=n_entities)
 
 
 def _csr(keys, size):

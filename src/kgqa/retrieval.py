@@ -13,10 +13,18 @@ plus space-joined aliases for entities.
 Search accumulates one query token at a time over flat numpy posting
 arrays. Each token's update is the scalar formula above applied per
 document, with the same IEEE double operations in the same order.
+
+An index over document texts indexed before loads its term ids and
+postings from a ``kgqa.cache`` entry instead of tokenizing. The entry's key
+holds the texts in id order and the tokenizer pattern. Bump
+``INDEX_FORMAT`` when the entry's arrays or their meaning change, or when
+the same texts and pattern would give other postings (the lowercasing, the
+term id order, the idf formula).
 """
 
 import copy
 import csv
+import hashlib
 import math
 import re
 from array import array
@@ -26,6 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from kgqa import cache
 from kgqa.errors import DataError, IndexBuildError
 from kgqa.kgstore import EntityRecord
 
@@ -34,6 +43,11 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # in one step. Its token lists stay under the collector's generation-0
 # threshold (700 containers), so they trigger no collection of their own.
 _BLOCK_DOCS = 256
+# The arrays of an index that ``(k1, b)`` leave alone, with their dtypes.
+_ARRAYS = {"offsets": np.dtype(np.int64), "docs": np.dtype(np.int32),
+           "tfs": np.dtype(np.float64), "doc_len": np.dtype(np.int32),
+           "idf": np.dtype(np.float64)}
+INDEX_FORMAT = 1  # version of the cache entry; see the module docstring
 
 
 def tokenize(text: str) -> list[str]:
@@ -101,6 +115,64 @@ def _postings(terms: array, doc_len: array, n_terms: int):
             (keys % n).astype(np.int32, copy=False), counts.astype(np.float64))
 
 
+def _text_blocks(records):
+    """The document texts of ``records``, in blocks of ``_BLOCK_DOCS``."""
+    for start in range(0, len(records), _BLOCK_DOCS):
+        yield [_document_text(rec) for rec in records[start:start + _BLOCK_DOCS]]
+
+
+def _key(records) -> str:
+    """Cache key of an index over ``records``: the tokenizer pattern, and
+    the length of every document text and all the text, in order."""
+    lengths, text = hashlib.blake2b(), hashlib.blake2b()
+    for block in _text_blocks(records):
+        lengths.update(array("q", map(len, block)))
+        text.update("".join(block).encode("utf-8", "surrogatepass"))
+    return cache.digest(_TOKEN_RE.pattern.encode(), lengths.digest(), text.digest())
+
+
+def _tokenized(records):
+    """``(term_ids, arrays)`` of an index over ``records``: term ids in order
+    of first occurrence and the ``_ARRAYS``, tokenizing each text once."""
+    n = len(records)
+    term_ids: dict[str, int] = {}
+    terms = array("i")  # the term id of every token, documents in order
+    doc_len = array("i")
+    for texts in _text_blocks(records):
+        block = [tokenize(text) for text in texts]
+        doc_len.extend(map(len, block))
+        tokens = list(chain.from_iterable(block))
+        # Ids in order of first occurrence, as a per-document pass gives.
+        new = [tok for tok in dict.fromkeys(tokens) if tok not in term_ids]
+        term_ids.update(zip(new, count(len(term_ids))))
+        terms.extend(map(term_ids.__getitem__, tokens))
+    df, offsets, docs, tfs = _postings(terms, doc_len, len(term_ids))
+    idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()],
+                   dtype=np.float64)
+    return term_ids, dict(zip(_ARRAYS, (offsets, docs, tfs,
+                                        np.array(doc_len, dtype=np.int32), idf)))
+
+
+def _entry(term_ids, arrays) -> dict:
+    """The cache entry of an index: its terms in id order and its arrays."""
+    blob, ends = cache.pack_strings(term_ids)
+    return {"terms": blob, "terms_ends": ends, **arrays}
+
+
+def _from_entry(arrays, n_docs):
+    """``(term_ids, arrays)`` from a cache entry; ValueError if its arrays
+    disagree with each other, with ``n_docs`` or with a fresh build's dtypes."""
+    terms = cache.unpack_strings(arrays.pop("terms"), arrays.pop("terms_ends"))
+    offsets, docs, tfs, doc_len, idf = (arrays[name] for name in _ARRAYS)
+    if ([a.dtype for a in (offsets, docs, tfs, doc_len, idf)] != list(_ARRAYS.values())
+            or len(offsets) != len(terms) + 1 or len(idf) != len(terms)
+            or len(doc_len) != n_docs or offsets[0] != 0 or offsets[-1] != len(docs)
+            or len(tfs) != len(docs) or (np.diff(offsets) < 0).any()
+            or len(docs) and not (0 <= docs.min() and docs.max() < n_docs)):
+        raise ValueError("index entry arrays disagree")
+    return dict(zip(terms, range(len(terms)))), arrays
+
+
 class Bm25Index:
     """Immutable BM25 index over one catalog; build once, search concurrently.
 
@@ -110,6 +182,9 @@ class Bm25Index:
     is ``k1 * (1 - b + b * doc_len[d] / avgdl)`` and ``idf[t]`` the term's
     idf. Document indexes follow ``doc_ids``, which are sorted. Only
     ``params`` and ``norm`` depend on ``(k1, b)``; ``with_params`` swaps them.
+
+    Everything else depends only on the document texts in id order, which
+    key its cache entry.
     """
 
     def __init__(self, records: Sequence, params: Bm25Params, kind: str):
@@ -122,26 +197,16 @@ class Bm25Index:
         self.doc_ids = [r.id for r in self.records]
 
         n = len(self.records)
-        term_ids: dict[str, int] = {}
-        terms = array("i")  # the term id of every token, documents in order
-        doc_len = array("i")
-        for start in range(0, n, _BLOCK_DOCS):
-            block = [tokenize(_document_text(rec))
-                     for rec in self.records[start:start + _BLOCK_DOCS]]
-            doc_len.extend(map(len, block))
-            tokens = list(chain.from_iterable(block))
-            # Ids in order of first occurrence, as a per-document pass gives.
-            new = [tok for tok in dict.fromkeys(tokens) if tok not in term_ids]
-            term_ids.update(zip(new, count(len(term_ids))))
-            terms.extend(map(term_ids.__getitem__, tokens))
-
-        df, self.offsets, self.docs, self.tfs = _postings(terms, doc_len, len(term_ids))
-        self.term_ids = term_ids
-        self.avgdl = sum(doc_len) / n
-        self.doc_len = np.array(doc_len, dtype=np.int32)
+        key = _key(self.records)
+        built = cache.load("bm25", INDEX_FORMAT, key, lambda arrays: _from_entry(arrays, n))
+        if built is None:
+            built = _tokenized(self.records)
+            cache.store("bm25", INDEX_FORMAT, key, _entry(*built))
+        self.term_ids, arrays = built
+        self.offsets, self.docs, self.tfs, self.doc_len, self.idf = (
+            arrays[name] for name in _ARRAYS)
+        self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / n
         self.norm = self._norm()
-        self.idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0)
-                             for d in df.tolist()], dtype=np.float64)
 
     def _norm(self) -> np.ndarray:
         k1, b = self.params.k1, self.params.b

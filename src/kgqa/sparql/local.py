@@ -2,9 +2,8 @@
 
 Solutions are distinct assignments of all pattern variables, found by a
 backtracking join that consults the snapshot's adjacency indexes. The
-answer set of a SELECT is built from the first projected variable;
-``multi_var="joined"`` instead renders full projected rows joined with
-"|". LIMIT truncates solutions after sorting them by the projected tuple
+answer set of a SELECT is built from the first projected variable.
+LIMIT truncates solutions after sorting them by the projected tuple
 (ascending lexicographic), so results are deterministic.
 """
 
@@ -58,7 +57,7 @@ def _solutions(patterns, snapshot: Snapshot) -> Iterator[dict[str, str]]:
     yield from extend(0, {})
 
 
-def execute_local(ast: QueryAst, snapshot: Snapshot, multi_var: str = "first") -> AnswerSet:
+def execute_local(ast: QueryAst, snapshot: Snapshot) -> AnswerSet:
     """Evaluate a parsed query against the snapshot."""
     solutions = list(_solutions(ast.patterns, snapshot))
     if ast.form == "ask":
@@ -78,8 +77,6 @@ def execute_local(ast: QueryAst, snapshot: Snapshot, multi_var: str = "first") -
     rows = sorted(rows)
     if ast.limit is not None:
         rows = rows[: ast.limit]
-    if multi_var == "joined" and len(ast.projection) > 1:
-        return AnswerSet.of(["|".join(row) for row in rows])
     return AnswerSet.of([row[0] for row in rows])
 
 

@@ -15,6 +15,25 @@ from kgqa import data as toy_data
 from kgqa.kgstore import load_snapshot
 
 
+@pytest.fixture(scope="session", autouse=True)
+def cache_home(tmp_path_factory):
+    """Point the kgqa cache at a directory of this session's own before any
+    snapshot loads, so no test reads or writes the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        home = tmp_path_factory.mktemp("cache-home")
+        mp.setenv("XDG_CACHE_HOME", str(home))
+        yield home
+
+
+@pytest.fixture
+def empty_cache(monkeypatch, tmp_path_factory):
+    """An empty cache directory of the test's own, so that every load and
+    index build in the test starts on the text path."""
+    home = tmp_path_factory.mktemp("empty-cache-home")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home / "kgqa"
+
+
 @pytest.fixture(autouse=True)
 def collector_left_enabled():
     """Fail a test after which the cyclic garbage collector is off."""

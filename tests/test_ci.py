@@ -58,3 +58,19 @@ def test_lower_bounds_leg_pins_every_declared_minimum():
             name, _, version = line.partition("==")
             pins[_name(name)] = version
     assert pins == {name: f"{minimum}.*" for name, minimum in minimums.items()}
+
+
+def test_cold_and_warm_cache_runs_are_compared():
+    """Two `evaluate --toy` runs in fresh processes share a job-temp cache,
+    the first filling it and the second reading it, and their outputs must
+    be byte-identical."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    steps = re.split(r"^\s*- (?:name|uses):", workflow, flags=re.M)
+    (step,) = [s for s in steps if "XDG_CACHE_HOME" in s]
+    assert re.search(r"XDG_CACHE_HOME:\s*\$\{\{\s*runner\.temp\s*\}\}/", step)
+    runs = re.findall(r'PYTHONPATH=src python -m kgqa\.cli evaluate --toy --out "([^"]+)"', step)
+    assert len(runs) == 2 and len(set(runs)) == 2, runs
+    assert re.search(r"ls .*kgqa/snapshot-\*\.npz .*kgqa/bm25-\*\.npz", step)
+    compared = re.search(r"for f in ([^;]+); do cmp ", step)
+    assert compared and compared.group(1).split() == ["report.csv", "trace.jsonl",
+                                                      "gold_cache.json"]

@@ -7,14 +7,19 @@ import sys
 import threading
 import weakref
 
+import numpy as np
 import pytest
 
+from kgqa import cache, kgstore
+from kgqa import data as toy_data
 from kgqa.errors import LoadError, NotFoundError
 from kgqa.kgstore import (
+    SNAPSHOT_FORMAT,
     EntityRecord,
     PredicateRecord,
     Triple,
     TripleTable,
+    _degrees,
     _read_jsonl,
     get_entity_relations,
     load_snapshot,
@@ -118,7 +123,8 @@ class TestLoadSnapshot:
                 continue
             expected_rows.append((lineno, obj))
         offenders = []
-        assert list(_read_jsonl(path, ("id", "label"), offenders)) == expected_rows
+        with open(path, encoding="utf-8") as fh:
+            assert list(_read_jsonl(fh, path, ("id", "label"), offenders)) == expected_rows
         assert offenders == expected_offenders
         assert len(expected_rows) == 6 and len(offenders) == 13
 
@@ -193,7 +199,8 @@ class TestLoadSnapshot:
         files = snapshot_files(
             [], [], [], entity_lines=['{"id": "Q1", "label": "a"}', "{not json"])
         offenders = []
-        rows = _read_jsonl(files[0], ("id", "label"), offenders)
+        rows = _read_jsonl(open(files[0], encoding="utf-8"), files[0], ("id", "label"),
+                           offenders)
         assert next(rows) == (1, {"id": "Q1", "label": "a"})
         assert offenders == []
         assert list(rows) == []
@@ -490,6 +497,210 @@ class TestBuiltOnFirstUse:
             for a, b in zip(got, results[0]):
                 assert all(x is y for x, y in zip(a, b)) if isinstance(a, tuple) else a is b
         assert_pools(snap, list(reference.triples), random.Random(round_))
+
+
+def no_parse(*args):
+    raise AssertionError("parsed the text files")
+
+
+def warm_load(files, monkeypatch):
+    """A load that must come from the cache."""
+    with monkeypatch.context() as m:
+        m.setattr(kgstore, "_parse", no_parse)
+        return load_snapshot(*files)
+
+
+def assert_holds_catalog_id_strings(snap):
+    entity_keys = {k: k for k in snap.entities}
+    predicate_keys = {k: k for k in snap.predicates}
+    for t in snap.triples:
+        assert t.subject is entity_keys[t.subject]
+        assert t.predicate is predicate_keys[t.predicate]
+        assert t.object not in entity_keys or t.object is entity_keys[t.object]
+    assert all(rec.id is k for k, rec in snap.entities.items())
+    assert all(rec.id is k for k, rec in snap.predicates.items())
+
+
+def damage_entry(path, how):
+    if how == "truncated":
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        return
+    with np.load(path) as entry:
+        arrays = dict(entry)
+    if how == "wrong-version":
+        arrays["format"] = np.array(SNAPSHOT_FORMAT + 1)
+    elif how == "wrong-key":
+        arrays["key"] = np.array("0" * 40)
+    elif how == "short-degrees":
+        arrays["degrees"] = arrays["degrees"][:-1]
+    elif how == "short-column":
+        arrays["o"] = arrays["o"][:-1]
+    elif how == "object-out-of-range":
+        arrays["o"] = arrays["o"] + len(arrays["degrees"]) + 100
+    elif how == "alias-counts":
+        arrays["alias_counts"] = arrays["alias_counts"] + 1
+    elif how == "short-labels":
+        arrays["entity_label_ends"] = arrays["entity_label_ends"][:-1]
+    elif how == "repeated-id":
+        ids = cache.unpack_strings(arrays["entity_id"], arrays["entity_id_ends"])
+        packed = cache.pack_strings([ids[0]] * len(ids))
+        arrays["entity_id"], arrays["entity_id_ends"] = packed
+    elif how == "missing-array":
+        del arrays["literals"]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestSnapshotCache:
+    """A load of files loaded before comes from the cache entry and equals
+    the text load; a damaged entry is parsed around and rewritten."""
+
+    @staticmethod
+    def entries(cache_dir):
+        return sorted(cache_dir.glob("snapshot-*.npz")) if cache_dir.is_dir() else []
+
+    def test_warm_load_equals_text_load_on_toy_graph(self, empty_cache, monkeypatch):
+        files = (toy_data.toy_entity_file(), toy_data.toy_predicate_file(),
+                 toy_data.toy_triple_file())
+        text = load_snapshot(*files)
+        assert len(self.entries(empty_cache)) == 1
+        warm = warm_load(files, monkeypatch)
+        assert_same_snapshot(text, warm)
+        assert_pools(warm, list(text.triples), random.Random(1))
+        assert_holds_catalog_id_strings(warm)
+        assert_profile_sets_shared(warm)
+        assert prune_by_degree(warm, 3) == prune_by_degree(text, 3)
+
+    def test_warm_load_equals_text_load_on_random_graphs(self, snapshot_files, empty_cache,
+                                                         monkeypatch):
+        rng = random.Random(23)
+        for _ in range(40):
+            entities, predicates, triples = random_rows(rng)
+            files = write_rows(snapshot_files, entities, predicates, triples)
+            text = load_snapshot(*files)
+            warm = warm_load(files, monkeypatch)
+            built = snapshot_from_records(entities, predicates, triples)
+            assert_same_snapshot(text, warm)
+            assert_same_snapshot(built, warm)
+            assert_pools(warm, list(dict.fromkeys(Triple(*t) for t in triples)), rng)
+            assert_holds_catalog_id_strings(warm)
+            assert_profile_sets_shared(warm)
+
+    def test_unusual_strings_round_trip(self, snapshot_files, empty_cache, monkeypatch):
+        entities = [("Q1", "", "", []),
+                    ("Q2", "Zürich 東京", "naïve\x00desc", ["", "a\x00b", "é", "😀"]),
+                    ("Q3", "\ud800", "\udfff", ["\ud83d", "\ude00", "\x00"]),
+                    ("Q4", "x" * 3000, "\n\t\r", ["\u2028"])]
+        predicates = [("P1", "rél", "désc\x00"), ("P2", "日本", ""), ("P3", "\ud800", "\x00")]
+        triples = [("Q1", "P1", "Q2"), ("Q2", "P2", "naïve"), ("Q3", "P3", "a\x00b"),
+                   ("Q4", "P1", "日本語"), ("Q4", "P2", "\x00"), ("Q1", "P3", "Q4")]
+        files = snapshot_files(entities, predicates, triples,
+                               triple_lines=["\t".join(t) for t in triples] + ["Q1\tP1\t"])
+        text = load_snapshot(*files)
+        warm = warm_load(files, monkeypatch)
+        assert_same_snapshot(text, warm)
+        assert [(r.label, r.description, r.aliases) for r in warm.entities.values()] == \
+            [(e[1], e[2], tuple(e[3])) for e in entities]
+        assert [(r.label, r.description) for r in warm.predicates.values()] == \
+            [p[1:] for p in predicates]
+        assert [t.object for t in warm.triples] == [t[2] for t in triples] + [""]
+
+    @pytest.mark.parametrize("how", ["truncated", "wrong-version", "wrong-key",
+                                     "short-degrees", "short-column", "object-out-of-range",
+                                     "alias-counts", "short-labels", "repeated-id",
+                                     "missing-array"])
+    def test_damaged_entry_falls_back_and_is_rewritten(self, snapshot_files, empty_cache,
+                                                       monkeypatch, how):
+        rows = random_rows(random.Random(29))
+        rows[0][0] = EntityRecord("Q1", "e1", "", ("x", "y"))
+        rows[2].append(("Q1", "P1", "lit"))
+        files = write_rows(snapshot_files, *rows)
+        text = load_snapshot(*files)
+        (entry,) = self.entries(empty_cache)
+        damage_entry(entry, how)
+        parses = []
+        real_parse = kgstore._parse
+        monkeypatch.setattr(kgstore, "_parse",
+                            lambda *args: parses.append(1) or real_parse(*args))
+        again = load_snapshot(*files)
+        assert parses == [1]
+        assert_same_snapshot(text, again)
+        assert self.entries(empty_cache) == [entry]
+        assert_same_snapshot(text, warm_load(files, monkeypatch))
+
+    def test_regular_file_at_cache_path(self, snapshot_files, empty_cache):
+        rows = random_rows(random.Random(31))
+        files = write_rows(snapshot_files, *rows)
+        empty_cache.write_bytes(b"not a directory")
+        for _ in range(2):
+            assert_same_snapshot(load_snapshot(*files), snapshot_from_records(*rows))
+        assert empty_cache.read_bytes() == b"not a directory"
+        assert [p.name for p in empty_cache.parent.iterdir()] == ["kgqa"]
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["entities", "predicates", "triples"])
+    def test_one_changed_byte_misses(self, snapshot_files, empty_cache, which):
+        files = snapshot_files([("Q1", "alpha"), ("Q2", "beta")], [("P1", "rel")],
+                               [("Q1", "P1", "Q2")])
+        before = load_snapshot(*files)
+        old, new = {0: (b"alpha", b"alphb"), 1: (b"rel", b"rem"), 2: (b"Q2\n", b"Qx\n")}[which]
+        data = files[which].read_bytes()
+        assert data.count(old) == 1
+        files[which].write_bytes(data.replace(old, new))
+        after = load_snapshot(*files)
+        assert len(self.entries(empty_cache)) == 2
+        assert snapshot_reads(after) != snapshot_reads(before)
+        fresh = {0: lambda s: s.entities["Q1"].label == "alphb",
+                 1: lambda s: s.predicates["P1"].label == "rem",
+                 2: lambda s: list(s.triples) == [("Q1", "P1", "Qx")]}[which]
+        assert fresh(after) and not fresh(before)
+
+    @pytest.mark.parametrize("missing", [0, 1, 2], ids=["entities", "predicates", "triples"])
+    def test_missing_file_raises_and_writes_nothing(self, snapshot_files, empty_cache,
+                                                    missing):
+        files = list(snapshot_files([("Q1", "a")], [("P1", "r")], [("Q1", "P1", "Q1")]))
+        load_snapshot(*files)
+        files[missing] = files[missing].with_name("absent")
+        with pytest.raises(FileNotFoundError, match="absent"):
+            load_snapshot(*files)
+        assert len(list(empty_cache.iterdir())) == 1
+
+    def test_load_error_writes_nothing(self, snapshot_files, empty_cache):
+        files = snapshot_files([("Q1", "a")], [("P1", "r")], [("Q1", "P1", "Q9")],
+                               entity_lines=['{"id": "Q1", "label": "a"}', "{bad"])
+        offenders = []
+        for _ in range(2):
+            with pytest.raises(LoadError) as err:
+                load_snapshot(*files)
+            offenders.append(err.value.offenders)
+        assert offenders[0] == offenders[1] and len(offenders[0]) == 2
+        assert not empty_cache.exists()
+
+
+def test_degrees_match_a_set_count():
+    """Distinct predicates per entity, self-loops counted as incoming only
+    and literal objects (ids from n_entities on) not at all."""
+    rng = random.Random(37)
+    for _ in range(200):
+        n_entities, n_predicates = rng.randint(1, 30), rng.randint(1, 70)
+        n_literals = rng.randint(0, 5)
+        rows = []
+        for _ in range(rng.randint(0, 120)):
+            s = rng.randrange(n_entities)
+            o = rng.choice([s, rng.randrange(n_entities), n_entities + rng.randrange(
+                n_literals) if n_literals else s])
+            rows.append((s, rng.randrange(n_predicates), o))
+        rows += rng.sample(rows, len(rows) // 3)
+        s, p, o = (np.array(column, dtype=np.intc).reshape(-1) for column in zip(*rows)) \
+            if rows else (np.zeros(0, dtype=np.intc),) * 3
+        touching = [set() for _ in range(n_entities)]
+        for si, pi, oi in rows:
+            if oi < n_entities:
+                touching[oi].add(pi)
+            if si != oi:
+                touching[si].add(pi)
+        got = _degrees(s, p, o, n_entities, n_predicates)
+        assert got.tolist() == [len(t) for t in touching]
 
 
 class TestCollectorState:

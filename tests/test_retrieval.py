@@ -299,7 +299,7 @@ def random_records(rng, n_docs):
 
 class TestBuild:
     @pytest.mark.parametrize("block", [1, 3, 16, 256])
-    def test_matches_reference(self, monkeypatch, toy_snapshot, block):
+    def test_matches_reference(self, monkeypatch, toy_snapshot, block, empty_cache):
         monkeypatch.setattr(retrieval, "_BLOCK_DOCS", block)
         rng = random.Random(20250807)
         corpora = [random_records(rng, rng.randint(1, 40)) for _ in range(25)] + [
@@ -336,6 +336,128 @@ class TestBuild:
         records = [EntityRecord("Q1", "alpha"), EntityRecord("Q2", "alpha")]
         index = Bm25Index.build(records, Bm25Params(1.2, 0.5), pruned_ids={"Q2"})
         assert index.doc_ids == ["Q2"]
+
+
+INDEX_ARRAYS = ("offsets", "docs", "tfs", "doc_len", "idf", "norm")
+
+
+def no_tokenize(text):
+    raise AssertionError("tokenized a document")
+
+
+def warm_build(records, params, monkeypatch):
+    """An index build that must come from the cache."""
+    with monkeypatch.context() as m:
+        m.setattr(retrieval, "tokenize", no_tokenize)
+        return Bm25Index.build(records, params)
+
+
+def assert_same_index(a, b, queries=()):
+    assert list(a.term_ids.items()) == list(b.term_ids.items())
+    assert a.avgdl == b.avgdl and a.doc_ids == b.doc_ids and a.kind == b.kind
+    for name in INDEX_ARRAYS:
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for query in queries:
+        assert a.search(query, 10) == b.search(query, 10)
+
+
+def damage_index_entry(path, how):
+    if how == "truncated":
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+        return
+    with np.load(path) as entry:
+        arrays = dict(entry)
+    if how == "wrong-version":
+        arrays["format"] = np.array(retrieval.INDEX_FORMAT + 1)
+    elif how == "short-idf":
+        arrays["idf"] = arrays["idf"][:-1]
+    elif how == "short-doc-len":
+        arrays["doc_len"] = arrays["doc_len"][:-1]
+    elif how == "doc-out-of-range":
+        arrays["docs"] = arrays["docs"] + len(arrays["doc_len"])
+    elif how == "decreasing-offsets":
+        arrays["offsets"] = arrays["offsets"][::-1].copy()
+    elif how == "float-docs":
+        arrays["docs"] = arrays["docs"].astype(np.float64)
+    elif how == "short-terms":
+        arrays["terms_ends"] = arrays["terms_ends"][:-1]
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class TestIndexCache:
+    """A build over texts indexed before comes from the cache entry and
+    equals a build that tokenizes; a damaged entry is rebuilt and rewritten."""
+
+    QUERIES = ["capital of Veltria", "Mira Okafor", "café naïve", "日本語 alpha", "oov"]
+
+    def test_warm_build_equals_text_build(self, toy_snapshot, empty_cache, monkeypatch):
+        rng = random.Random(41)
+        corpora = [random_records(rng, rng.randint(1, 40)) for _ in range(25)] + [
+            random_records(rng, 600),
+            [EntityRecord("Q1", "?!"), EntityRecord("Q2", "--", "_")],
+            [EntityRecord("Q1", "a\x00b", "\ud800 x\udfff", ("", "\x00", "é😀"))],
+            list(toy_snapshot.entities.values()),
+            list(toy_snapshot.predicates.values()),
+        ]
+        for records in corpora:
+            params = Bm25Params(rng.choice([0.0, 1.2, 5.18]), rng.choice([0.0, 0.4, 1.0]))
+            text = Bm25Index.build(records, params)
+            warm = warm_build(records, params, monkeypatch)
+            assert_same_index(text, warm, self.QUERIES)
+            assert_same_index(text.with_params(Bm25Params(0.7, 0.3)),
+                              warm.with_params(Bm25Params(0.7, 0.3)), self.QUERIES)
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == len(corpora)
+
+    def test_key_is_the_texts_in_id_order(self, empty_cache, monkeypatch):
+        records = [EntityRecord("Q1", "alpha beta"), EntityRecord("Q2", "gamma", "delta")]
+        text = Bm25Index.build(records, Bm25Params(1.5, 0.75))
+        renamed = [PredicateRecord("P7", "alpha beta"), PredicateRecord("P8", "gamma", "delta")]
+        warm = warm_build(renamed, Bm25Params(0.5, 0.0), monkeypatch)
+        assert warm.term_ids == text.term_ids and np.array_equal(warm.tfs, text.tfs)
+        assert warm.doc_ids == ["P7", "P8"] and warm.kind == "predicate"
+        swapped = [EntityRecord("Q1", "gamma", "delta"), EntityRecord("Q2", "alpha beta")]
+        assert list(Bm25Index.build(swapped, Bm25Params(1.5, 0.75)).term_ids) == \
+            ["gamma", "delta", "alpha", "beta"]
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
+
+    @pytest.mark.parametrize("how", ["truncated", "wrong-version", "short-idf", "short-doc-len",
+                                     "doc-out-of-range", "decreasing-offsets", "float-docs",
+                                     "short-terms"])
+    def test_damaged_entry_falls_back_and_is_rewritten(self, empty_cache, monkeypatch, how):
+        records = random_records(random.Random(43), 60)
+        params = Bm25Params(1.2, 0.75)
+        text = Bm25Index.build(records, params)
+        (entry,) = empty_cache.glob("bm25-*.npz")
+        damage_index_entry(entry, how)
+        calls = Counter()
+        real = retrieval.tokenize
+        with monkeypatch.context() as m:
+            m.setattr(retrieval, "tokenize", lambda t: calls.update([t]) or real(t))
+            again = Bm25Index.build(records, params)
+        assert sum(calls.values()) == len(records)
+        assert_same_index(text, again, self.QUERIES)
+        assert list(empty_cache.glob("bm25-*.npz")) == [entry]
+        assert_same_index(text, warm_build(records, params, monkeypatch), self.QUERIES)
+
+    def test_regular_file_at_cache_path(self, empty_cache):
+        records = random_records(random.Random(47), 30)
+        empty_cache.write_bytes(b"not a directory")
+        first = Bm25Index.build(records, Bm25Params(1.2, 0.75))
+        assert_same_index(first, Bm25Index.build(records, Bm25Params(1.2, 0.75)), self.QUERIES)
+        assert empty_cache.read_bytes() == b"not a directory"
+        assert [p.name for p in empty_cache.parent.iterdir()] == ["kgqa"]
+
+    def test_one_changed_character_misses(self, empty_cache):
+        records = [EntityRecord("Q1", "alpha"), EntityRecord("Q2", "beta", "", ("gamma",))]
+        before = Bm25Index.build(records, Bm25Params(1.2, 0.75))
+        records[1] = EntityRecord("Q2", "beta", "", ("gammb",))
+        after = Bm25Index.build(records, Bm25Params(1.2, 0.75))
+        assert list(after.term_ids) == ["alpha", "beta", "gammb"]
+        assert list(before.term_ids) == ["alpha", "beta", "gamma"]
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
 
 
 class TestRecall:
@@ -467,7 +589,7 @@ class TestSweep:
         with pytest.raises(DataError):
             sweep(index, [("alpha", set()), ("beta", set())], [1.0], [0.5], 3)
 
-    def test_tokenizes_each_document_once(self, monkeypatch, toy_snapshot):
+    def test_tokenizes_each_document_once(self, monkeypatch, toy_snapshot, empty_cache):
         calls = Counter()
         real = retrieval.tokenize
 

@@ -151,8 +151,6 @@ class TestWorkedExamples:
         snap = make_snapshot([("Q1", "P1", "Q2"), ("Q3", "P1", "Q4")])
         ast = parse("SELECT ?s ?o WHERE { ?s wdt:P1 ?o }")
         assert execute_local(ast, snap).terms == {"Q1", "Q3"}
-        joined = execute_local(ast, snap, multi_var="joined")
-        assert joined.terms == {"Q1|Q2", "Q3|Q4"}
 
 
 def random_kg(rng):
