@@ -8,13 +8,20 @@ directory and renamed into place, so a reader never sees a partial one.
 
 The cache only ever saves work: a missing, unreadable or malformed entry
 reads as a miss, and a failed write (no directory, a full disk) is
-dropped. Deleting the directory is always safe.
+dropped. Deleting the directory is always safe. Writing an entry deletes
+the entries of its kind under any other format version, which this code
+can never read; entries of the current version are never deleted.
+
+``counts`` tallies, per kind, the loads that hit (``"hit"``) or missed
+(``"miss"``) and the entries written (``"write"``) in this process.
 """
 
 import hashlib
 import os
 import tempfile
 import zipfile
+import zlib
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -22,9 +29,21 @@ import numpy as np
 
 T = TypeVar("T")
 
+try:
+    from lzma import LZMAError
+except ImportError:  # zipfile then raises RuntimeError for an LZMA member
+    LZMAError = RuntimeError
+
 # What reading a damaged entry can raise: np.load's own errors, a missing
-# member, a bad zip structure, a cut-off member, or a check in ``build``.
-_MALFORMED = (OSError, ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile)
+# member, a bad zip structure, a cut-off member, or a member whose
+# compression method field names another method (unknown or with its module
+# missing, bzip2, LZMA or deflate over stored bytes).
+_UNREADABLE = (OSError, ValueError, KeyError, IndexError, EOFError, RuntimeError,
+               LZMAError, zlib.error, zipfile.BadZipFile)
+# What ``build`` raises on arrays that disagree.
+_MALFORMED = (ValueError, KeyError, IndexError)
+
+counts: Counter = Counter()  # (kind, "hit" | "miss" | "write") -> number
 
 
 def directory() -> Path:
@@ -56,21 +75,27 @@ def load(kind: str, version: int, key: str,
     IndexError or KeyError through) on a malformed entry, which then also
     reads as a miss.
     """
+    arrays = result = None
     try:
         with open(_path(kind, version, key), "rb") as fh:
             entry = np.load(fh, allow_pickle=False)
-            if not isinstance(entry, np.lib.npyio.NpzFile):
-                return None  # a single .npy array
-            arrays = {name: entry[name] for name in entry.files}
-        if arrays.pop("format") != version or arrays.pop("key") != key:
-            return None
-        return build(arrays)
-    except _MALFORMED:
-        return None
+            if isinstance(entry, np.lib.npyio.NpzFile):  # not a single .npy array
+                arrays = {name: entry[name] for name in entry.files}
+    except _UNREADABLE:
+        pass
+    if arrays is not None:
+        try:
+            if arrays.pop("format") == version and arrays.pop("key") == key:
+                result = build(arrays)
+        except _MALFORMED:
+            pass
+    counts[kind, "miss" if result is None else "hit"] += 1
+    return result
 
 
 def store(kind: str, version: int, key: str, arrays: dict) -> None:
-    """Write an entry atomically; any OSError drops it."""
+    """Write an entry atomically, then delete the entries of ``kind`` under
+    other format versions; any OSError drops the entry or leaves the stale one."""
     path = _path(kind, version, key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -82,10 +107,20 @@ def store(kind: str, version: int, key: str, arrays: dict) -> None:
             np.savez(fh, format=np.array(version), key=np.array(key), **arrays)
         os.replace(tmp, path)
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _unlink(tmp)
+        return
+    counts[kind, "write"] += 1
+    current = f"{kind}-v{version}-"
+    for entry in path.parent.glob(f"{kind}-v*-*.npz"):
+        if not entry.name.startswith(current):
+            _unlink(entry)
+
+
+def _unlink(path) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,9 @@ loaded before from identical bytes is rebuilt from its ``kgqa.cache``
 entry instead of parsed: the deduplicated columns, the degrees, and the
 catalog and literal strings, assembled by the same code as a parse. The
 entry is written only after a parse succeeds, so a file that raises
-LoadError is parsed, and reported, every time. Bump ``SNAPSHOT_FORMAT``
+LoadError is parsed, and reported, every time, and only when the files
+digest the same after the parse as before it, so that an entry never
+holds what a file changed mid-load parsed to. Bump ``SNAPSHOT_FORMAT``
 when the entry's arrays or their meaning change, or when parsing the same
 bytes would give another snapshot (a new validation rule, another id
 order), so that no entry written before the change is read after it.
@@ -33,7 +35,6 @@ order), so that no entry written before the change is read after it.
 
 import gc
 import hashlib
-import io
 import json
 import threading
 from array import array
@@ -262,11 +263,11 @@ class Snapshot:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _read_jsonl(fh, path, required, offenders):
-    """Yield (lineno, object) per well-formed row of the text file ``fh``;
-    malformed rows go to ``offenders`` as they are read."""
+def _read_jsonl(path, required, offenders):
+    """Yield (lineno, object) per well-formed row; malformed rows go to
+    ``offenders`` as they are read."""
     keys = frozenset(required)
-    with fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -314,65 +315,40 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
     if that succeeds, an entry is written.
     """
     paths = (entity_file, predicate_file, triple_file)
-    key = cache.digest(*map(_file_digest, paths))
+    key = _digest(paths)
     snapshot = cache.load("snapshot", SNAPSHOT_FORMAT, key, _from_entry)
     if snapshot is None:
-        hashes = []
-        snapshot = _parse(paths, hashes)
-        cache.store("snapshot", SNAPSHOT_FORMAT, cache.digest(*(h.digest() for h in hashes)),
-                    _entry(snapshot))
+        snapshot = _parse(paths)
+        # Files that changed between the two digests may have been parsed
+        # from other bytes than ``key`` names, so they get no entry.
+        if _digest(paths) == key:
+            cache.store("snapshot", SNAPSHOT_FORMAT, key, _entry(snapshot))
     return snapshot
 
 
-class _Digested(io.RawIOBase):
-    """An unbuffered binary file that feeds every byte read to ``hash``;
-    closing it closes the file."""
-
-    def __init__(self, fh):
-        super().__init__()
-        self._fh = fh
-        self.hash = hashlib.blake2b(digest_size=20)
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._fh.readinto(buffer)
-        self.hash.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self):
-        self._fh.close()
-        super().close()
+def _digest(paths) -> str:
+    """Cache key of the snapshot of ``paths``: a digest of their bytes."""
+    return cache.digest(*map(_file_digest, paths))
 
 
 def _file_digest(path) -> bytes:
     """The blake2b digest of a file's bytes, read in blocks."""
-    with _Digested(open(path, "rb", buffering=0)) as raw:
-        buffer = bytearray(1 << 20)
-        while raw.readinto(buffer):
-            pass
-    return raw.hash.digest()
+    h = hashlib.blake2b(digest_size=20)
+    buffer = bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            h.update(memoryview(buffer)[:n])
+    return h.digest()
 
 
-def _text(path, hashes):
-    """``path`` opened as ``open(path, encoding="utf-8")`` opens it; the hash
-    of the bytes read through it is appended to ``hashes``."""
-    raw = _Digested(open(path, "rb", buffering=0))
-    hashes.append(raw.hash)
-    return io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
-
-
-def _parse(paths, hashes) -> Snapshot:
-    """The snapshot of the three input files ``paths``, parsed. Each file is
-    read to its end once, through the hash appended to ``hashes``."""
+def _parse(paths) -> Snapshot:
+    """The snapshot of the three input files ``paths``, parsed."""
     entity_file, predicate_file, triple_file = paths
     offenders: list[tuple[str, int, str]] = []
     # A catalog's failed checks follow all of that file's parse errors.
     invalid: list[tuple[str, int, str]] = []
     entities: dict[str, tuple] = {}  # records are built once degrees are known
-    rows = _read_jsonl(_text(entity_file, hashes), entity_file, ("id", "label"), offenders)
-    for lineno, obj in rows:
+    for lineno, obj in _read_jsonl(entity_file, ("id", "label"), offenders):
         eid = str(obj["id"])
         if not is_entity_id(eid):
             invalid.append((str(entity_file), lineno, f"bad entity id {eid!r}"))
@@ -390,9 +366,7 @@ def _parse(paths, hashes) -> Snapshot:
     invalid.clear()
 
     predicates: dict[str, PredicateRecord] = {}
-    rows = _read_jsonl(_text(predicate_file, hashes), predicate_file, ("id", "label"),
-                       offenders)
-    for lineno, obj in rows:
+    for lineno, obj in _read_jsonl(predicate_file, ("id", "label"), offenders):
         pid = str(obj["id"])
         if not is_predicate_id(pid):
             invalid.append((str(predicate_file), lineno, f"bad predicate id {pid!r}"))
@@ -407,7 +381,7 @@ def _parse(paths, hashes) -> Snapshot:
                                           description=str(obj.get("description") or ""))
     offenders += invalid
 
-    with _text(triple_file, hashes) as fh:
+    with open(triple_file, encoding="utf-8") as fh:
         # Every catalog id passed is_entity_id: the catalog is also ``objects``.
         return _build(_tsv_rows(fh, str(triple_file), offenders), str(triple_file),
                       entities, entities, predicates, offenders, "snapshot load failed")

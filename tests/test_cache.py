@@ -1,5 +1,8 @@
 """The on-disk cache: where it lives, how entries are keyed, written and read."""
 
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,62 @@ def test_cut_entries_read_as_a_miss(empty_cache):
         assert cache.load("thing", 1, "k", lambda loaded: loaded) is None, size
     entry.write_bytes(b"\x00" * len(data))
     assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+
+
+def _with_method(data: bytes, member: str, method: int, first_byte=None) -> bytes:
+    """A zip file's bytes with the compression method in ``member``'s central
+    directory record set to ``method``, and optionally its first data byte."""
+    out = bytearray(data)
+    at = out.find(b"PK\x01\x02")
+    while at >= 0:
+        name_len = struct.unpack_from("<H", out, at + 28)[0]
+        if out[at + 46:at + 46 + name_len] == member.encode():
+            struct.pack_into("<H", out, at + 10, method)
+            if first_byte is not None:
+                local = struct.unpack_from("<I", out, at + 42)[0]
+                skip = sum(struct.unpack_from("<HH", out, local + 26))
+                out[local + 30 + skip] = first_byte
+        at = out.find(b"PK\x01\x02", at + 4)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("method, first_byte", [
+    (1, None),  # unknown to zipfile: NotImplementedError
+    (8, 0x07),  # deflate with an invalid block type: zlib.error
+    (12, None),  # bzip2 over stored bytes: OSError
+    (14, None),  # LZMA over stored bytes: LZMAError
+], ids=["unknown", "deflate", "bzip2", "lzma"])
+def test_damaged_compression_method_reads_as_a_miss(empty_cache, method, first_byte):
+    # LZMA reads its properties' length from the member's first bytes, so
+    # it gets as far as its own error only for a member of 20 kB or more.
+    cache.store("thing", 1, "k", {"a": np.arange(5000), "b": np.ones(7)})
+    entry = empty_cache / "thing-v1-k.npz"
+    entry.write_bytes(_with_method(entry.read_bytes(), "a.npy", method, first_byte))
+    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+
+
+def test_store_deletes_entries_of_other_versions(empty_cache):
+    cache.store("thing", 1, "k1", {"a": np.arange(3)})
+    cache.store("thing", 1, "k2", {"a": np.arange(3)})
+    cache.store("thing", 10, "k1", {"a": np.arange(3)})
+    cache.store("thingy", 2, "k1", {"a": np.arange(3)})
+    (empty_cache / "notes.txt").write_text("kept")
+    assert sorted(p.name for p in empty_cache.iterdir()) == [
+        "notes.txt", "thing-v10-k1.npz", "thingy-v2-k1.npz"]
+    cache.store("thing", 1, "k3", {"a": np.arange(3)})
+    assert sorted(p.name for p in empty_cache.iterdir()) == [
+        "notes.txt", "thing-v1-k3.npz", "thingy-v2-k1.npz"]
+    assert cache.load("thingy", 2, "k1", lambda loaded: loaded) is not None
+
+
+def test_counts_hits_misses_and_writes(empty_cache, monkeypatch):
+    monkeypatch.setattr(cache, "counts", Counter())
+    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+    cache.store("thing", 1, "k", {"a": np.arange(3)})
+    assert cache.load("thing", 1, "k", lambda loaded: loaded) is not None
+    assert cache.load("thing", 1, "k", lambda loaded: loaded) is not None
+    assert cache.load("thing", 1, "k", lambda loaded: None) is None
+    assert cache.counts == {("thing", "miss"): 2, ("thing", "write"): 1, ("thing", "hit"): 2}
 
 
 def test_failed_write_leaves_nothing(empty_cache, monkeypatch):

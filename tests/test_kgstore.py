@@ -123,8 +123,7 @@ class TestLoadSnapshot:
                 continue
             expected_rows.append((lineno, obj))
         offenders = []
-        with open(path, encoding="utf-8") as fh:
-            assert list(_read_jsonl(fh, path, ("id", "label"), offenders)) == expected_rows
+        assert list(_read_jsonl(path, ("id", "label"), offenders)) == expected_rows
         assert offenders == expected_offenders
         assert len(expected_rows) == 6 and len(offenders) == 13
 
@@ -199,8 +198,7 @@ class TestLoadSnapshot:
         files = snapshot_files(
             [], [], [], entity_lines=['{"id": "Q1", "label": "a"}', "{not json"])
         offenders = []
-        rows = _read_jsonl(open(files[0], encoding="utf-8"), files[0], ("id", "label"),
-                           offenders)
+        rows = _read_jsonl(files[0], ("id", "label"), offenders)
         assert next(rows) == (1, {"id": "Q1", "label": "a"})
         assert offenders == []
         assert list(rows) == []
@@ -654,6 +652,29 @@ class TestSnapshotCache:
                  1: lambda s: s.predicates["P1"].label == "rem",
                  2: lambda s: list(s.triples) == [("Q1", "P1", "Qx")]}[which]
         assert fresh(after) and not fresh(before)
+
+    @pytest.mark.parametrize("when", ["before-parse", "after-parse"])
+    def test_file_changed_mid_load_writes_nothing(self, snapshot_files, empty_cache,
+                                                  monkeypatch, when):
+        files = snapshot_files([("Q1", "alpha")], [("P1", "rel")], [("Q1", "P1", "Q1")])
+        data = files[0].read_bytes()
+        real_parse = kgstore._parse
+
+        def parse_while_changing(paths):
+            if when == "before-parse":
+                files[0].write_bytes(data.replace(b"alpha", b"gamma"))
+            snapshot = real_parse(paths)
+            if when == "after-parse":
+                files[0].write_bytes(data.replace(b"alpha", b"gamma"))
+            return snapshot
+
+        with monkeypatch.context() as m:
+            m.setattr(kgstore, "_parse", parse_while_changing)
+            load_snapshot(*files)
+        assert self.entries(empty_cache) == []
+        files[0].write_bytes(data)
+        assert load_snapshot(*files).entities["Q1"].label == "alpha"
+        assert warm_load(files, monkeypatch).entities["Q1"].label == "alpha"
 
     @pytest.mark.parametrize("missing", [0, 1, 2], ids=["entities", "predicates", "triples"])
     def test_missing_file_raises_and_writes_nothing(self, snapshot_files, empty_cache,
