@@ -52,7 +52,7 @@ from kgqa.guard import (
     write_rejection_csv,
 )
 from kgqa.kgstore import load_snapshot, prune_by_degree
-from kgqa.llmclient import ReasonerClientConfig
+from kgqa.llmclient import ChatCompletionsClient, ReasonerClientConfig
 from kgqa.pipeline import PipelineConfig, build_rejection_suite, run_rejection_study
 from kgqa.retrieval import Bm25Index, Bm25Params, PRESETS, sweep, write_sweep_csv
 from kgqa.sparql import EndpointConfig, LocalExecutor, RemoteExecutor
@@ -181,12 +181,12 @@ def _id_list(raw):
     return [tok for tok in raw.replace(",", " ").split() if tok]
 
 
-def _llm_config(base_url, model, api_key_env, timeout, retries):
+def _llm_client(base_url, model, api_key_env, timeout, retries):
     if not base_url or not model:
         raise ConfigError("remote backend needs --llm-base-url and --llm-model")
-    return ReasonerClientConfig(base_url=base_url, model_name=model,
-                                api_key_env=api_key_env, timeout=timeout,
-                                max_retries=retries)
+    return ChatCompletionsClient(ReasonerClientConfig(
+        base_url=base_url, model_name=model, api_key_env=api_key_env,
+        timeout=timeout, max_retries=retries))
 
 
 def _disambiguator(choice, llm):
@@ -265,11 +265,11 @@ def _options(options):
 
 def _llm_options(fn):
     """Add the --llm-* flags and pass them on as ``llm``, a callable that
-    builds the client config, so only remote backends require them."""
+    builds a chat client, so only remote backends require them."""
     @functools.wraps(fn)
     def wrapper(llm_base_url, llm_model, llm_api_key_env, llm_timeout,
                 llm_max_retries, **kwargs):
-        llm = functools.partial(_llm_config, llm_base_url, llm_model,
+        llm = functools.partial(_llm_client, llm_base_url, llm_model,
                                 llm_api_key_env, llm_timeout, llm_max_retries)
         return fn(llm=llm, **kwargs)
     return _options(_LLM_OPTIONS)(wrapper)

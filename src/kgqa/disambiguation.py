@@ -15,7 +15,6 @@ from typing import Optional
 
 from kgqa.errors import DisambiguationError, SelectionParseError, TransportError
 from kgqa.ids import ANY_ID_RE
-from kgqa.llmclient import ChatCompletionsClient, ReasonerClientConfig
 from kgqa.retrieval import CandidateSet
 
 ANSWER_OPEN = "<answer>"
@@ -112,11 +111,8 @@ class RemoteReasoner:
 
     name = "remote"
 
-    def __init__(self, client_or_config):
-        if isinstance(client_or_config, ReasonerClientConfig):
-            self.client = ChatCompletionsClient(client_or_config)
-        else:
-            self.client = client_or_config
+    def __init__(self, client):
+        self.client = client
 
     def select(self, question, candidates, kind, catalog, gold=None):
         prompt = build_prompt(question, candidates, kind, catalog)

@@ -44,10 +44,12 @@ class DatasetLoadResult:
 _REQUIRED_KEYS = ("id", "question", "sparql", "entities", "split")
 
 
-def load_dataset(path, format: str = "jsonl") -> DatasetLoadResult:
+def _string_array(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def load_dataset(path) -> DatasetLoadResult:
     """Load examples, tolerating bad lines; fails only when nothing loads."""
-    if format != "jsonl":
-        raise ConfigError(f"unsupported dataset format {format!r}")
     examples = []
     line_errors = []
     split_counts: dict[str, int] = {}
@@ -61,6 +63,9 @@ def load_dataset(path, format: str = "jsonl") -> DatasetLoadResult:
             except json.JSONDecodeError as exc:
                 line_errors.append((lineno, f"invalid JSON: {exc.msg}"))
                 continue
+            if not isinstance(obj, dict):
+                line_errors.append((lineno, "expected a JSON object"))
+                continue
             missing = [k for k in _REQUIRED_KEYS if k not in obj]
             if missing:
                 line_errors.append((lineno, f"missing keys: {', '.join(missing)}"))
@@ -68,18 +73,24 @@ def load_dataset(path, format: str = "jsonl") -> DatasetLoadResult:
             if not str(obj["question"]) or not str(obj["sparql"]):
                 line_errors.append((lineno, "question and sparql must be non-empty"))
                 continue
-            entities = {str(e) for e in obj["entities"]}
+            answers = obj.get("answers")
+            arrays = (("entities", obj["entities"]), ("predicates", obj.get("predicates", [])),
+                      ("answers", [] if answers is None else answers))
+            wrong = next((key for key, value in arrays if not _string_array(value)), None)
+            if wrong:
+                line_errors.append((lineno, f"{wrong} must be an array of strings"))
+                continue
+            entities = set(obj["entities"])
             bad = [e for e in entities if not is_entity_id(e)]
             if bad:
                 line_errors.append((lineno, f"bad entity ids: {', '.join(sorted(bad))}"))
                 continue
-            answers = obj.get("answers")
             example = QaExample(
                 id=str(obj["id"]),
                 question=str(obj["question"]),
                 gold_query=str(obj["sparql"]),
                 gold_entities=entities,
-                gold_predicates={str(p) for p in obj.get("predicates", ())},
+                gold_predicates=set(obj.get("predicates", ())),
                 gold_answers=AnswerSet.of(answers) if answers is not None else None,
                 dataset=str(obj.get("dataset", "default")),
                 split=str(obj["split"]),

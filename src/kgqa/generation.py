@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from kgqa.errors import GenerationError, TransportError
-from kgqa.llmclient import ChatCompletionsClient, ReasonerClientConfig
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n?(.*?)```", re.DOTALL)
 _QUERY_START_RE = re.compile(r"\b(SELECT|ASK|PREFIX)\b", re.IGNORECASE)
@@ -26,8 +25,6 @@ INSTRUCTION = (
     "graph. Use only the candidate entities and predicates listed below. "
     "Output the query and nothing else."
 )
-
-DEFAULT_STOPLIST = ("sure", "here", "certainly", "okay")
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ def assemble_prompt(req: GenerationRequest) -> str:
     return "\n".join(lines)
 
 
-def strip_to_query(raw: str, stoplist: Sequence[str] = DEFAULT_STOPLIST) -> str:
+def strip_to_query(raw: str) -> str:
     """Remove code fences and surrounding prose from a model response."""
     text = raw.strip()
     fenced = _FENCE_RE.search(text)
@@ -77,9 +74,6 @@ def strip_to_query(raw: str, stoplist: Sequence[str] = DEFAULT_STOPLIST) -> str:
     text = text[m.start():].strip()
     if "```" in text:
         text = text.split("```", 1)[0].strip()
-    first_word = re.split(r"\W+", text, maxsplit=1)[0].lower()
-    if first_word in stoplist:
-        raise GenerationError(f"response starts with prose: {raw[:120]!r}")
     return text
 
 
@@ -120,12 +114,8 @@ class RemoteLlmGenerator:
 
     name = "remote-llm"
 
-    def __init__(self, client_or_config, stoplist: Sequence[str] = DEFAULT_STOPLIST):
-        if isinstance(client_or_config, ReasonerClientConfig):
-            self.client = ChatCompletionsClient(client_or_config)
-        else:
-            self.client = client_or_config
-        self.stoplist = tuple(s.lower() for s in stoplist)
+    def __init__(self, client):
+        self.client = client
 
     def generate(self, req: GenerationRequest) -> GenerationResult:
         prompt = assemble_prompt(req)
@@ -133,7 +123,7 @@ class RemoteLlmGenerator:
             raw = self.client.complete([{"role": "user", "content": prompt}])
         except TransportError as exc:
             raise GenerationError(f"generator call failed: {exc}") from exc
-        return GenerationResult(query_text=strip_to_query(raw, self.stoplist),
+        return GenerationResult(query_text=strip_to_query(raw),
                                 backend=self.name, raw_response=raw)
 
 

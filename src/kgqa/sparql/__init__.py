@@ -11,7 +11,7 @@ from kgqa.sparql.answers import AnswerSet, normalize_term
 from kgqa.sparql.ast import EntityRef, Literal, PredicateRef, QueryAst, TriplePattern, Var, render
 from kgqa.sparql.local import LocalExecutor, execute_local
 from kgqa.sparql.parser import parse
-from kgqa.sparql.remote import EndpointConfig, RemoteExecutor, execute_remote
+from kgqa.sparql.remote import EndpointConfig, RemoteExecutor
 
 __all__ = [
     "AnswerSet",
@@ -25,7 +25,6 @@ __all__ = [
     "TriplePattern",
     "Var",
     "execute_local",
-    "execute_remote",
     "normalize_term",
     "parse",
     "render",

@@ -2,19 +2,19 @@
 
 GET with a URL-encoded ``query`` parameter, switching to form POST above
 2000 bytes; requests carry Accept: application/sparql-results+json and a
-mandatory User-Agent. Rate-limit responses are retried with exponential
-backoff; in-flight requests are bounded per executor, with a politeness
-delay before each call.
+mandatory User-Agent. Transport failures, 429 and 503 are retried with
+backoff (``kgqa.httpclient``); any other non-200 status fails at once.
+In-flight requests are bounded per executor, and every attempt waits the
+politeness delay before it is sent. A results document that does not
+have the SPARQL JSON shape is a ``RemoteExecutionError``.
 """
 
 import logging
-import threading
 import time
 from dataclasses import dataclass
 
-import requests
-
 from kgqa.errors import ConfigError, RemoteExecutionError
+from kgqa.httpclient import RetryingClient, check_settings
 from kgqa.sparql.answers import AnswerSet, normalize_term
 
 logger = logging.getLogger("kgqa.sparql.remote")
@@ -35,100 +35,81 @@ class EndpointConfig:
     backoff_base: float = 1.0
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be > 0")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
+        check_settings(self)
         if self.politeness_delay < 0:
             raise ConfigError("politeness_delay must be >= 0")
-        if self.max_in_flight < 1:
-            raise ConfigError("max_in_flight must be >= 1")
-        if self.backoff_base < 0:
-            raise ConfigError("backoff_base must be >= 0")
+
+
+def _malformed(detail) -> RemoteExecutionError:
+    return RemoteExecutionError(f"malformed results document: {detail}")
 
 
 def _parse_results(payload) -> AnswerSet:
     if not isinstance(payload, dict):
-        raise RemoteExecutionError("malformed results document: not a JSON object")
+        raise _malformed("not a JSON object")
     if "boolean" in payload:
-        return AnswerSet.from_bool(bool(payload["boolean"]))
+        truth = payload["boolean"]
+        if not isinstance(truth, bool):
+            raise _malformed(f"boolean is {truth!r}")
+        return AnswerSet.from_bool(truth)
     try:
         variables = payload["head"]["vars"]
         bindings = payload["results"]["bindings"]
     except (KeyError, TypeError) as exc:
-        raise RemoteExecutionError(f"malformed results document: {exc!r}")
+        raise _malformed(repr(exc))
+    if not isinstance(variables, list) or not isinstance(bindings, list):
+        raise _malformed("vars and bindings must be arrays")
     if not variables:
         return AnswerSet.empty()
     first = variables[0]
+    if not isinstance(first, str):
+        raise _malformed(f"variable name {first!r}")
     if len(bindings) > _MAX_ROWS:
         logger.warning("result truncated to %d of %d rows", _MAX_ROWS, len(bindings))
         bindings = bindings[:_MAX_ROWS]
     terms = []
     for row in bindings:
+        if not isinstance(row, dict):
+            raise _malformed(f"binding {row!r}")
         value = row.get(first)
-        if value is None or "value" not in value:
+        if value is None:
             continue
-        terms.append(normalize_term(str(value["value"])))
+        if not isinstance(value, dict):
+            raise _malformed(f"term {value!r}")
+        if "value" in value:
+            terms.append(normalize_term(str(value["value"])))
     return AnswerSet.of(terms)
 
 
-class RemoteExecutor:
+class RemoteExecutor(RetryingClient):
     """Executor handle satisfying the same contract as LocalExecutor.run."""
 
     name = "remote"
+    error = RemoteExecutionError
 
-    def __init__(self, config: EndpointConfig, session=None):
-        self.config = config
-        self._session = session or requests.Session()
-        self._gate = threading.Semaphore(config.max_in_flight)
+    def _send(self, method, **kwargs):
+        if self.config.politeness_delay > 0:
+            time.sleep(self.config.politeness_delay)
+        return super()._send(method, **kwargs)
+
+    def _refusal(self, response):
+        status = response.status_code
+        if status in _RETRY_STATUSES:
+            return True, RemoteExecutionError(f"endpoint busy (HTTP {status})")
+        return False, RemoteExecutionError(
+            f"HTTP {status} from endpoint: {response.text[:200]}")
 
     def run(self, query_text: str) -> AnswerSet:
-        return self._execute(query_text)
-
-    def _execute(self, query_text: str) -> AnswerSet:
-        cfg = self.config
         headers = {
             "Accept": "application/sparql-results+json",
-            "User-Agent": cfg.user_agent,
+            "User-Agent": self.config.user_agent,
         }
-        last_error = None
-        for attempt in range(cfg.max_retries + 1):
-            if attempt:
-                time.sleep(cfg.backoff_base * 2 ** (attempt - 1))
-            with self._gate:
-                if cfg.politeness_delay > 0:
-                    time.sleep(cfg.politeness_delay)
-                try:
-                    if len(query_text.encode("utf-8")) > _POST_THRESHOLD:
-                        response = self._session.post(
-                            cfg.base_url, data={"query": query_text},
-                            headers=headers, timeout=cfg.timeout,
-                        )
-                    else:
-                        response = self._session.get(
-                            cfg.base_url, params={"query": query_text},
-                            headers=headers, timeout=cfg.timeout,
-                        )
-                except requests.RequestException as exc:
-                    last_error = RemoteExecutionError(f"transport failure: {exc}")
-                    continue
-            if response.status_code in _RETRY_STATUSES:
-                last_error = RemoteExecutionError(
-                    f"endpoint busy (HTTP {response.status_code})")
-                continue
-            if response.status_code != 200:
-                snippet = response.text[:200]
-                raise RemoteExecutionError(
-                    f"HTTP {response.status_code} from endpoint: {snippet}")
-            try:
-                payload = response.json()
-            except ValueError:
-                raise RemoteExecutionError(
-                    f"malformed results document: {response.text[:200]}")
-            return _parse_results(payload)
-        raise last_error
-
-
-def execute_remote(query_text: str, endpoint: EndpointConfig) -> AnswerSet:
-    """One-shot execution against ``endpoint``."""
-    return RemoteExecutor(endpoint).run(query_text)
+        if len(query_text.encode("utf-8")) > _POST_THRESHOLD:
+            response = self._request("post", data={"query": query_text}, headers=headers)
+        else:
+            response = self._request("get", params={"query": query_text}, headers=headers)
+        try:
+            payload = response.json()
+        except ValueError:
+            raise _malformed(response.text[:200])
+        return _parse_results(payload)

@@ -60,13 +60,19 @@ def test_lower_bounds_leg_pins_every_declared_minimum():
     assert pins == {name: f"{minimum}.*" for name, minimum in minimums.items()}
 
 
+def _step(name):
+    """The text of the one workflow step called ``name``."""
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    steps = re.split(r"^\s*- (?:name|uses):", workflow, flags=re.M)
+    (step,) = [s for s in steps if s.strip().startswith(name + "\n")]
+    return step
+
+
 def test_cold_and_warm_cache_runs_are_compared():
     """Two `evaluate --toy` runs in fresh processes share a job-temp cache,
     the first filling it and the second reading it, and their outputs must
     be byte-identical."""
-    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    steps = re.split(r"^\s*- (?:name|uses):", workflow, flags=re.M)
-    (step,) = [s for s in steps if "XDG_CACHE_HOME" in s]
+    step = _step("Cold and warm cache runs agree")
     assert re.search(r"XDG_CACHE_HOME:\s*\$\{\{\s*runner\.temp\s*\}\}/", step)
     runs = re.findall(r'PYTHONPATH=src python -m kgqa\.cli evaluate --toy --out "([^"]+)"', step)
     assert len(runs) == 2 and len(set(runs)) == 2, runs
@@ -74,3 +80,18 @@ def test_cold_and_warm_cache_runs_are_compared():
     compared = re.search(r"for f in ([^;]+); do cmp ", step)
     assert compared and compared.group(1).split() == ["report.csv", "trace.jsonl",
                                                       "gold_cache.json"]
+
+
+def test_remote_workload_must_report_correct_and_no_failures():
+    """qa-remote runs both remote clients against the fake endpoints. The
+    benchmark exits 0 whatever it finds, so the step reads its last line;
+    bash makes a failing benchmark fail the pipe."""
+    step = _step("Both remote clients run end to end")
+    assert re.search(r"^\s*shell:\s*bash\s*$", step, re.M)
+    assert re.search(r"XDG_CACHE_HOME:\s*\$\{\{\s*runner\.temp\s*\}\}/", step)
+    run = re.search(r"python3 perfbench/run\.py (.+?) \| tail -n 1 > \"([^\"]+)\"", step)
+    assert run and run.group(1).split() == ["--workload", "qa-remote", "--seed", "1",
+                                            "--seconds", "3", "--trace", "0"]
+    check = re.search(r"python3 -c '(.+)' \"([^\"]+)\"", step)
+    assert check and check.group(2) == run.group(2)
+    assert 'r["correct"] is True and r["failed"] == 0' in check.group(1)

@@ -16,7 +16,7 @@ from kgqa.disambiguation import (
 )
 from kgqa.errors import DisambiguationError, SelectionParseError
 from kgqa.kgstore import EntityRecord
-from kgqa.llmclient import ReasonerClientConfig
+from kgqa.llmclient import ChatCompletionsClient, ReasonerClientConfig
 from kgqa.retrieval import Bm25Index, Bm25Params, CandidateSet
 
 
@@ -30,9 +30,10 @@ def make_catalog(n):
             for i in range(1, n + 1)}
 
 
-def _client_config(url, retries=1):
-    return ReasonerClientConfig(base_url=url, model_name="m", timeout=5.0,
-                                max_retries=retries, backoff_base=0.0)
+def _client(url, retries=1):
+    return ChatCompletionsClient(ReasonerClientConfig(
+        base_url=url, model_name="m", timeout=5.0, max_retries=retries,
+        backoff_base=0.0))
 
 
 class TestBuildPrompt:
@@ -166,7 +167,7 @@ class TestOracles:
 class TestRemoteBackend:
     def test_selection_and_off_list_tally(self, fake_server):
         fake_server.enqueue_chat("I think it is <answer>Q2, Q99, Q1</answer>")
-        backend = RemoteReasoner(_client_config(fake_server.url))
+        backend = RemoteReasoner(_client(fake_server.url))
         result = disambiguate("q", make_candidates(3), "entity", backend,
                               catalog=make_catalog(3))
         assert result.selected == ("Q2", "Q1")
@@ -175,7 +176,7 @@ class TestRemoteBackend:
 
     def test_off_list_counts_repeated_tokens(self, fake_server):
         fake_server.enqueue_chat("<answer>Q99 Q1 Q99 P5 Q1 maybe</answer>")
-        backend = RemoteReasoner(_client_config(fake_server.url))
+        backend = RemoteReasoner(_client(fake_server.url))
         result = disambiguate("q", make_candidates(3), "entity", backend,
                               catalog=make_catalog(3))
         assert result.selected == ("Q1",)
@@ -184,7 +185,7 @@ class TestRemoteBackend:
     def test_retry_on_missing_markers(self, fake_server):
         fake_server.enqueue_chat("no markers, sorry")
         fake_server.enqueue_chat("<answer>Q1</answer>")
-        backend = RemoteReasoner(_client_config(fake_server.url, retries=1))
+        backend = RemoteReasoner(_client(fake_server.url, retries=1))
         result = disambiguate("q", make_candidates(2), "entity", backend,
                               catalog=make_catalog(2))
         assert result.selected == ("Q1",)
@@ -193,14 +194,14 @@ class TestRemoteBackend:
     def test_rejected_after_exhausted_parse_retries(self, fake_server):
         for _ in range(3):
             fake_server.enqueue_chat("still no markers")
-        backend = RemoteReasoner(_client_config(fake_server.url, retries=2))
+        backend = RemoteReasoner(_client(fake_server.url, retries=2))
         result = disambiguate("q", make_candidates(2), "entity", backend,
                               catalog=make_catalog(2))
         assert result.selected == ()
         assert result.failure == "rejected-at-disambiguation"
 
     def test_transport_failure_raises(self):
-        backend = RemoteReasoner(_client_config("http://127.0.0.1:1/", retries=0))
+        backend = RemoteReasoner(_client("http://127.0.0.1:1/", retries=0))
         with pytest.raises(DisambiguationError) as err:
             disambiguate("q", make_candidates(2), "entity", backend,
                          catalog=make_catalog(2))
@@ -208,7 +209,7 @@ class TestRemoteBackend:
 
     def test_prompt_sent_contains_candidates(self, fake_server):
         fake_server.enqueue_chat("<answer>Q1</answer>")
-        backend = RemoteReasoner(_client_config(fake_server.url))
+        backend = RemoteReasoner(_client(fake_server.url))
         disambiguate("which one?", make_candidates(2), "entity", backend,
                      catalog=make_catalog(2))
         sent = fake_server.requests[0].json()["messages"][0]["content"]

@@ -63,9 +63,25 @@ class TestLoadDataset:
         assert example.dataset == "demo"
         assert example.gold_answers.terms == {"Q2"}
 
-    def test_unsupported_format(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_dataset(tmp_path / "d.csv", format="csv")
+    @pytest.mark.parametrize("row", [None, 7, "row", [1]],
+                             ids=["null", "number", "string", "array"])
+    def test_row_that_is_not_an_object(self, tmp_path, row):
+        path = write_jsonl(tmp_path / "d.jsonl", [example_row("a"), row])
+        loaded = load_dataset(path)
+        assert [ex.id for ex in loaded.examples] == ["a"]
+        assert loaded.line_errors == ((2, "expected a JSON object"),)
+
+    @pytest.mark.parametrize("field, value", [
+        ("entities", "Q1"), ("entities", None), ("entities", [1]),
+        ("predicates", 7), ("predicates", None), ("predicates", ["P1", 2]),
+        ("answers", [1, 2]), ("answers", "Q12"), ("answers", {"Q1": 1}),
+    ])
+    def test_field_that_is_not_an_array_of_strings(self, tmp_path, field, value):
+        path = write_jsonl(tmp_path / "d.jsonl",
+                           [example_row("a"), example_row("b", **{field: value})])
+        loaded = load_dataset(path)
+        assert [ex.id for ex in loaded.examples] == ["a"]
+        assert loaded.line_errors == ((2, f"{field} must be an array of strings"),)
 
     def test_toy_dataset_counts(self):
         from kgqa import data

@@ -1,5 +1,7 @@
 """Chat-completions client: wire shape, auth, retries, injected faults."""
 
+import time
+
 import pytest
 
 from kgqa.disambiguation import RemoteReasoner, disambiguate
@@ -81,6 +83,34 @@ def test_client_error_fails_fast(fake_server):
         client.complete([])
     assert "401" in str(err.value)
     assert len(fake_server.requests) == 1
+
+
+# 429 and every 5xx are retried; any other non-200 status fails at once.
+@pytest.mark.parametrize("status, requests_sent", [
+    (429, 2), (500, 2), (502, 2), (503, 2), (504, 2), (400, 1), (404, 1),
+])
+def test_retry_policy(fake_server, monkeypatch, status, requests_sent):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    fake_server.default_response = (status, "no")
+    client = ChatCompletionsClient(_config(fake_server.url, max_retries=1,
+                                           backoff_base=0.25))
+    with pytest.raises(TransportError, match=f"^HTTP {status}: no$"):
+        client.complete([])
+    assert len(fake_server.requests) == requests_sent
+    assert sleeps == [0.25] * (requests_sent - 1)
+
+
+def test_backoff_doubles_per_retry(fake_server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    fake_server.default_response = (503, "down")
+    client = ChatCompletionsClient(_config(fake_server.url, max_retries=3,
+                                           backoff_base=0.25))
+    with pytest.raises(TransportError):
+        client.complete([])
+    assert len(fake_server.requests) == 4
+    assert sleeps == [0.25, 0.5, 1.0]
 
 
 def test_malformed_completion(fake_server):

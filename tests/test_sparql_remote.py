@@ -1,9 +1,12 @@
 """SPARQL-protocol client against a local fake endpoint."""
 
+import time
+
 import pytest
+import requests
 
 from kgqa.errors import ConfigError, RemoteExecutionError
-from kgqa.sparql import EndpointConfig, RemoteExecutor, execute_remote
+from kgqa.sparql import EndpointConfig, RemoteExecutor
 
 
 def _config(url, **overrides):
@@ -12,6 +15,12 @@ def _config(url, **overrides):
                     user_agent="kgqa-tests/0.1")
     defaults.update(overrides)
     return EndpointConfig(**defaults)
+
+
+def _execute(query_text, config):
+    """One query on a session that is closed afterwards."""
+    with requests.Session() as session:
+        return RemoteExecutor(config, session).run(query_text)
 
 
 def bindings_doc(var, values):
@@ -44,7 +53,7 @@ class TestConfig:
 class TestProtocol:
     def test_boolean_document(self, fake_server):
         fake_server.enqueue(200, {"boolean": True})
-        result = execute_remote("ASK { wd:Q1 wdt:P1 wd:Q2 }", _config(fake_server.url))
+        result = _execute("ASK { wd:Q1 wdt:P1 wd:Q2 }", _config(fake_server.url))
         assert result.truth is True
         assert result.terms == {"true"}
 
@@ -52,7 +61,7 @@ class TestProtocol:
         fake_server.enqueue(200, bindings_doc("x", [
             {"type": "uri", "value": "http://www.wikidata.org/entity/Q42"},
         ]))
-        result = execute_remote("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+        result = _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                                 _config(fake_server.url))
         assert result.terms == {"Q42"}
 
@@ -60,13 +69,13 @@ class TestProtocol:
         fake_server.enqueue(200, bindings_doc("x", [
             {"type": "literal", "value": "1968-01-01T00:00:00Z"},
         ]))
-        result = execute_remote("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+        result = _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                                 _config(fake_server.url))
         assert result.terms == {"1968-01-01T00:00:00Z"}
 
     def test_get_with_query_param_and_headers(self, fake_server):
         fake_server.enqueue(200, bindings_doc("x", []))
-        execute_remote("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+        _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                        _config(fake_server.url, user_agent="agent-007"))
         request = fake_server.requests[0]
         assert request.method == "GET"
@@ -77,7 +86,7 @@ class TestProtocol:
     def test_post_for_long_queries(self, fake_server):
         fake_server.enqueue(200, bindings_doc("x", []))
         long_query = "SELECT ?x WHERE { wd:Q1 wdt:P1 ?x } #" + "y" * 2100
-        execute_remote(long_query, _config(fake_server.url))
+        _execute(long_query, _config(fake_server.url))
         request = fake_server.requests[0]
         assert request.method == "POST"
         assert "query=" in request.body
@@ -90,7 +99,7 @@ class TestProtocol:
                  "b": {"type": "literal", "value": "x"}},
             ]},
         })
-        result = execute_remote("SELECT ?a ?b WHERE { ?a wdt:P1 ?b }",
+        result = _execute("SELECT ?a ?b WHERE { ?a wdt:P1 ?b }",
                                 _config(fake_server.url))
         assert result.terms == {"Q1"}
 
@@ -99,7 +108,7 @@ class TestFailureModes:
     def test_http_error_carries_status_and_snippet(self, fake_server):
         fake_server.enqueue(500, "java.lang.StackOverflow deep in the engine")
         with pytest.raises(RemoteExecutionError) as err:
-            execute_remote("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+            _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                            _config(fake_server.url))
         assert "500" in str(err.value)
         assert "StackOverflow" in str(err.value)
@@ -107,7 +116,7 @@ class TestFailureModes:
     def test_rate_limit_retries_then_succeeds(self, fake_server):
         fake_server.enqueue(429, "slow down")
         fake_server.enqueue(200, {"boolean": False})
-        result = execute_remote("ASK { wd:Q1 wdt:P1 wd:Q2 }",
+        result = _execute("ASK { wd:Q1 wdt:P1 wd:Q2 }",
                                 _config(fake_server.url, max_retries=2))
         assert result.truth is False
         assert len(fake_server.requests) == 2
@@ -116,27 +125,76 @@ class TestFailureModes:
         for _ in range(3):
             fake_server.enqueue(429, "busy")
         with pytest.raises(RemoteExecutionError):
-            execute_remote("ASK { wd:Q1 wdt:P1 wd:Q2 }",
+            _execute("ASK { wd:Q1 wdt:P1 wd:Q2 }",
                            _config(fake_server.url, max_retries=2))
 
     def test_malformed_document(self, fake_server):
         fake_server.enqueue(200, "this is not json {")
         with pytest.raises(RemoteExecutionError) as err:
-            execute_remote("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+            _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                            _config(fake_server.url))
         assert "malformed" in str(err.value)
 
     def test_missing_results_key(self, fake_server):
         fake_server.enqueue(200, {"head": {"vars": ["x"]}})
         with pytest.raises(RemoteExecutionError):
-            execute_remote("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+            _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                            _config(fake_server.url))
+
+    @pytest.mark.parametrize("document", [
+        {"boolean": "false"},
+        {"boolean": 0},
+        {"head": {"vars": {"x": 1}}, "results": {"bindings": []}},
+        {"head": {"vars": ["x"]}, "results": {"bindings": {"x": 1}}},
+        {"head": {"vars": [["x"]]}, "results": {"bindings": [{}]}},
+        {"head": {"vars": ["x"]}, "results": {"bindings": [1]}},
+        {"head": {"vars": ["x"]}, "results": {"bindings": [{"x": "value"}]}},
+    ], ids=["string-boolean", "number-boolean", "object-vars", "object-bindings",
+            "array-var-name", "number-binding", "string-term"])
+    def test_malformed_shapes_are_typed_errors(self, fake_server, document):
+        fake_server.enqueue(200, document)
+        with pytest.raises(RemoteExecutionError, match="^malformed results document: "):
+            _execute("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }", _config(fake_server.url))
 
     def test_connection_refused(self):
         config = _config("http://127.0.0.1:1/", max_retries=0)
         with pytest.raises(RemoteExecutionError) as err:
-            execute_remote("ASK { wd:Q1 wdt:P1 wd:Q2 }", config)
+            _execute("ASK { wd:Q1 wdt:P1 wd:Q2 }", config)
         assert "transport" in str(err.value)
+
+
+class TestRetryPolicy:
+    # 429 and 503 are retried; any other non-200 status fails at once. The
+    # politeness delay comes before every attempt, the backoff between them.
+    @pytest.mark.parametrize("status, requests_sent", [
+        (429, 2), (500, 1), (502, 1), (503, 2), (504, 1), (400, 1), (404, 1),
+    ])
+    def test_requests_and_sleeps_per_status(self, fake_server, monkeypatch, status,
+                                            requests_sent):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        fake_server.default_response = (status, "no")
+        executor = RemoteExecutor(_config(fake_server.url, max_retries=1,
+                                          politeness_delay=0.125, backoff_base=0.25))
+        with pytest.raises(RemoteExecutionError) as err:
+            executor.run("ASK { wd:Q1 wdt:P1 wd:Q2 }")
+        if requests_sent == 2:
+            assert str(err.value) == f"endpoint busy (HTTP {status})"
+        else:
+            assert str(err.value) == f"HTTP {status} from endpoint: no"
+        assert len(fake_server.requests) == requests_sent
+        assert sleeps == [0.125, 0.25, 0.125][:2 * requests_sent - 1]
+
+    def test_backoff_doubles_per_retry(self, fake_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        fake_server.default_response = (429, "busy")
+        executor = RemoteExecutor(_config(fake_server.url, max_retries=3,
+                                          politeness_delay=0.125, backoff_base=0.25))
+        with pytest.raises(RemoteExecutionError):
+            executor.run("ASK { wd:Q1 wdt:P1 wd:Q2 }")
+        assert len(fake_server.requests) == 4
+        assert sleeps == [0.125, 0.25, 0.125, 0.5, 0.125, 1.0, 0.125]
 
 
 class TestInjectedFaults:
