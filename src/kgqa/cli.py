@@ -94,15 +94,47 @@ def _write_json(path, payload):
                     encoding="utf-8")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _string(value) -> bool:
+    return isinstance(value, str)
+
+
+# Every --config key, with the check its value must pass and what it must be.
+_CONFIG_KEYS = {
+    "preset": (_string, "a string"),
+    "k1": (_number, "a number"),
+    "b": (_number, "a number"),
+    "entity_file": (_string, "a string"),
+    "predicate_file": (_string, "a string"),
+    "triple_file": (_string, "a string"),
+}
+
+
+def _check_config(config_path, cfg):
+    """ConfigError unless ``cfg`` is an object of known keys of the right types."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{config_path}: config must be a JSON object")
+    for key, value in cfg.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{config_path}: unknown config key {key!r}; "
+                              f"have {sorted(_CONFIG_KEYS)}")
+        valid, kind = _CONFIG_KEYS[key]
+        if not valid(value):
+            raise ConfigError(f"{config_path}: config key {key!r} must be {kind}, "
+                              f"got {value!r}")
+
+
 def _inputs(config_path, toy, entity_file, predicate_file, triple_file):
-    """Load the --config JSON object, then the snapshot from --toy, the file
-    flags or the config."""
+    """Load and check the --config JSON object, then the snapshot from
+    --toy, the file flags or the config."""
     cfg = {}
     if config_path is not None:
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
+        _check_config(config_path, cfg)
     if toy:
         return cfg, load_snapshot(toy_data.toy_entity_file(),
                                   toy_data.toy_predicate_file(),

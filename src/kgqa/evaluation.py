@@ -10,6 +10,7 @@ them on the examples and `gold_cache.json` records them.
 
 import csv
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -42,6 +43,8 @@ class DatasetLoadResult:
 
 
 _REQUIRED_KEYS = ("id", "question", "sparql", "entities", "split")
+# Fields that must hold a string when present; ``dataset`` is optional.
+_STRING_KEYS = ("id", "question", "sparql", "split", "dataset")
 
 
 def _string_array(value) -> bool:
@@ -70,7 +73,12 @@ def load_dataset(path) -> DatasetLoadResult:
             if missing:
                 line_errors.append((lineno, f"missing keys: {', '.join(missing)}"))
                 continue
-            if not str(obj["question"]) or not str(obj["sparql"]):
+            wrong = next((key for key in _STRING_KEYS
+                          if not isinstance(obj.get(key, ""), str)), None)
+            if wrong:
+                line_errors.append((lineno, f"{wrong} must be a string"))
+                continue
+            if not obj["question"] or not obj["sparql"]:
                 line_errors.append((lineno, "question and sparql must be non-empty"))
                 continue
             answers = obj.get("answers")
@@ -85,15 +93,16 @@ def load_dataset(path) -> DatasetLoadResult:
             if bad:
                 line_errors.append((lineno, f"bad entity ids: {', '.join(sorted(bad))}"))
                 continue
+            # Every row repeats its dataset and split names: one string each.
             example = QaExample(
-                id=str(obj["id"]),
-                question=str(obj["question"]),
-                gold_query=str(obj["sparql"]),
+                id=obj["id"],
+                question=obj["question"],
+                gold_query=obj["sparql"],
                 gold_entities=entities,
                 gold_predicates=set(obj.get("predicates", ())),
                 gold_answers=AnswerSet.of(answers) if answers is not None else None,
-                dataset=str(obj.get("dataset", "default")),
-                split=str(obj["split"]),
+                dataset=sys.intern(obj.get("dataset", "default")),
+                split=sys.intern(obj["split"]),
             )
             examples.append(example)
             split_counts[example.split] = split_counts.get(example.split, 0) + 1

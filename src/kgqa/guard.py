@@ -65,7 +65,7 @@ class GuardPolicy:
             raise ValueError(f"filter must be one of {FILTER_MODES}, got {self.filter!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuardVerdict:
     accepted: bool
     stage: str

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from kgqa.sparql.answers import AnswerSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricRecord:
     precision: float
     recall: float
@@ -22,19 +22,26 @@ class MetricRecord:
     acc_at_1: int
 
 
+# Shared by every perfect and every zero score; records are immutable.
+_PERFECT = MetricRecord(1.0, 1.0, 1.0, 1)
+_ZERO = MetricRecord(0.0, 0.0, 0.0, 0)
+
+
 def score(gold: AnswerSet, predicted: AnswerSet) -> MetricRecord:
     gold_terms = gold.terms
     predicted_terms = predicted.terms
     if not gold_terms and not predicted_terms:
-        return MetricRecord(1.0, 1.0, 1.0, 1)
-    if not gold_terms:
-        return MetricRecord(0.0, 0.0, 0.0, 0)
-    if not predicted_terms:
-        return MetricRecord(0.0, 0.0, 0.0, 0)
+        return _PERFECT
+    if not gold_terms or not predicted_terms:
+        return _ZERO
     common = len(gold_terms & predicted_terms)
+    if common == 0:
+        return _ZERO
+    if common == len(gold_terms) == len(predicted_terms):
+        return _PERFECT
     precision = common / len(predicted_terms)
     recall = common / len(gold_terms)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall)
     acc = 1 if common == len(gold_terms) else 0
     return MetricRecord(precision, recall, f1, acc)
 

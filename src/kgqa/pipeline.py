@@ -1,13 +1,16 @@
 """Per-question orchestration: retrieve, disambiguate, guard, generate,
 execute, score.
 
-``run_example`` produces a full trace for one question. The rejection
-study runs every case through it with the filter off, so each generation
-is executed and each rejection policy can be evaluated analytically
-against the ground-truth correctness of the generation.
+``run_example`` produces a full trace for one question, running each
+distinct query at most once: a generated query equal to the gold one reads
+the gold run's answers. The rejection study runs every case through it
+with the filter off, so each generation is executed and each rejection
+policy can be evaluated analytically against the ground-truth correctness
+of the generation.
 """
 
 import random
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -25,6 +28,7 @@ from kgqa.guard import (
 )
 from kgqa.metrics import MetricRecord, score
 from kgqa.sparql.answers import AnswerSet
+from kgqa.sparql.parser import parse
 from kgqa.sparql.remote import RemoteExecutor
 
 
@@ -43,16 +47,19 @@ class PipelineConfig:
     fewshot_examples: tuple = ()
 
 
-@dataclass
+@dataclass(slots=True)
 class PipelineOutcome:
     question_id: str
     dataset: str
     question: str
-    entity_candidates: tuple[tuple[str, float], ...] = ()
-    predicate_candidates: tuple[tuple[str, float], ...] = ()
+    # ``CandidateSet.hits``: (id, score) pairs, read like tuples.
+    entity_candidates: Sequence[tuple[str, float]] = ()
+    predicate_candidates: Sequence[tuple[str, float]] = ()
     entities_selected: tuple[str, ...] = ()
     predicates_selected: tuple[str, ...] = ()
     query_text: Optional[str] = None
+    # The guard's verdict without its answer set; ``answers`` holds the
+    # accepted answers as a sorted tuple.
     verdict: Optional[GuardVerdict] = None
     answers: tuple[str, ...] = ()
     gold_answers: tuple[str, ...] = ()
@@ -74,10 +81,39 @@ def _candidate_records(index, ids):
     )
 
 
-def _gold_answers(example, cfg) -> AnswerSet:
+def _gold_run(example, cfg) -> tuple[AnswerSet, bool]:
+    """The gold answers, and whether they come from running the gold query
+    now. Answers already on the example are not a run."""
     if example.gold_answers is not None:
-        return example.gold_answers
-    return cfg.executor.run(example.gold_query)
+        return example.gold_answers, False
+    return cfg.executor.run(example.gold_query), True
+
+
+def _same_query(a: str, b: str) -> bool:
+    """Whether two query texts parse to the same query. Texts the parser
+    rejects compare unequal, so they still reach the executor."""
+    try:
+        return parse(a) == parse(b)
+    except KgqaError:
+        return False
+
+
+class _GoldReuse:
+    """The executor the guard uses for one question whose gold query ran:
+    a query equal to the gold one, by text or else by parsed form, reads
+    the gold run's answers; any other query runs."""
+
+    __slots__ = ("executor", "gold_query", "gold")
+
+    def __init__(self, executor, gold_query: str, gold: AnswerSet):
+        self.executor = executor
+        self.gold_query = gold_query
+        self.gold = gold
+
+    def run(self, query_text: str) -> AnswerSet:
+        if query_text == self.gold_query or _same_query(query_text, self.gold_query):
+            return self.gold
+        return self.executor.run(query_text)
 
 
 def _stage(pool, fn, *args, **kwargs):
@@ -110,6 +146,12 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
     thread, where a handoff to a pool would only add cost. Results are
     read in the order gold, entity, predicate, and all of them before
     generation starts.
+
+    The guard executes the generated query only when it differs from the
+    gold query that ran: an equal query, by text or by parsed form, reads
+    the gold run's answers, so each distinct query runs once. A gold run
+    that failed, and gold answers already on the example, are not reused;
+    the guard then runs the generated query itself.
     """
     outcome = PipelineOutcome(
         question_id=example.id, dataset=example.dataset, question=example.question,
@@ -118,7 +160,7 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
     remote_links = isinstance(cfg.disambiguator, RemoteReasoner)
     overlap = remote_gold or remote_links
     with ThreadPoolExecutor(max_workers=2) if overlap else nullcontext() as pool:
-        gold_answers = _stage(pool if remote_gold else None, _gold_answers, example, cfg)
+        gold_run = _stage(pool if remote_gold else None, _gold_run, example, cfg)
         entity_candidates = cfg.entity_index.search(example.question, cfg.k)
         predicate_candidates = cfg.predicate_index.search(example.question, cfg.k)
         link_pool = pool if remote_links else None
@@ -133,15 +175,18 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
             gold=example.gold_entities,
         )
         try:
-            gold = gold_answers()
+            gold, gold_ran = gold_run()
         except KgqaError as exc:
             outcome.error = f"gold query failed: {exc}"
             outcome.gold_error = True
-            gold = None
+            gold, gold_ran = None, False
         entity_sel = entity_link()
         predicate_sel = predicate_link()
+    executor = cfg.executor
     if gold is not None:
         outcome.gold_answers = tuple(gold.sorted_terms())
+        if gold_ran:
+            executor = _GoldReuse(executor, example.gold_query, gold)
     outcome.entity_candidates = entity_candidates.hits
     outcome.predicate_candidates = predicate_candidates.hits
     outcome.entities_selected = entity_sel.selected
@@ -162,15 +207,18 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
         entities=set(entity_sel.selected),
         predicates=set(predicate_sel.selected),
         query=generate_query,
-        executor=cfg.executor,
+        executor=executor,
         policy=cfg.policy,
     ))
-    outcome.verdict = verdict
+    outcome.verdict = replace(verdict, answers=None)
     outcome.query_text = verdict.query_text
     predicted = verdict.answers if verdict.accepted else AnswerSet.empty()
-    outcome.answers = tuple(predicted.sorted_terms())
-    if gold is not None:  # without gold answers there is nothing to score against
-        outcome.metrics = score(gold, predicted)
+    if gold is None:  # without gold answers there is nothing to score against
+        outcome.answers = tuple(predicted.sorted_terms())
+        return outcome
+    outcome.answers = (outcome.gold_answers if predicted.terms == gold.terms
+                       else tuple(predicted.sorted_terms()))
+    outcome.metrics = score(gold, predicted)
     return outcome
 
 
@@ -199,8 +247,6 @@ def build_rejection_suite(examples, snapshot, fraction: float = 0.5,
     COUNT still returns an answer ("false" / "0"), which would make the
     case invisible to execution-based rejection and ambiguous to label.
     """
-    from kgqa.sparql import parse  # deferred: avoids import cycle at module load
-
     rng = random.Random(seed)
     eligible = []
     for idx, example in enumerate(examples):

@@ -15,7 +15,7 @@ def normalize_term(value: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnswerSet:
     """Set of normalized answer terms; boolean answers also set ``truth``.
 

@@ -82,16 +82,33 @@ def test_cold_and_warm_cache_runs_are_compared():
                                                       "gold_cache.json"]
 
 
-def test_remote_workload_must_report_correct_and_no_failures():
-    """qa-remote runs both remote clients against the fake endpoints. The
+def _assert_benchmark_step(name, args):
+    """The step runs perfbench with ``args`` in its own cache directory and
+    fails unless the result line says correct with no failed question. The
     benchmark exits 0 whatever it finds, so the step reads its last line;
     bash makes a failing benchmark fail the pipe."""
-    step = _step("Both remote clients run end to end")
+    step = _step(name)
     assert re.search(r"^\s*shell:\s*bash\s*$", step, re.M)
     assert re.search(r"XDG_CACHE_HOME:\s*\$\{\{\s*runner\.temp\s*\}\}/", step)
     run = re.search(r"python3 perfbench/run\.py (.+?) \| tail -n 1 > \"([^\"]+)\"", step)
-    assert run and run.group(1).split() == ["--workload", "qa-remote", "--seed", "1",
-                                            "--seconds", "3", "--trace", "0"]
+    assert run and run.group(1).split() == args
     check = re.search(r"python3 -c '(.+)' \"([^\"]+)\"", step)
     assert check and check.group(2) == run.group(2)
     assert 'r["correct"] is True and r["failed"] == 0' in check.group(1)
+
+
+def test_remote_workload_must_report_correct_and_no_failures():
+    """qa-remote runs both remote clients against the fake endpoints."""
+    _assert_benchmark_step("Both remote clients run end to end",
+                           ["--workload", "qa-remote", "--seed", "1",
+                            "--seconds", "3", "--trace", "0"])
+
+
+def test_traced_join_workload_must_report_correct_and_no_failures():
+    """perfbench's traced runner executes the gold and the generated query
+    separately, and each traced pass must reproduce the untraced pass of
+    ``run_example``, which runs each distinct query once, question by
+    question."""
+    _assert_benchmark_step("Untraced and traced runners agree on qa-join",
+                           ["--workload", "qa-join", "--seed", "1",
+                            "--seconds", "3", "--trace", "1"])

@@ -337,6 +337,27 @@ class TestExitCodes:
                                      "--preset", "nope", "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
 
+    # Before the check, a list preset crashed with a TypeError traceback,
+    # k1 true ran as k1 = 1.0, and a number as a file path made open()
+    # read that file descriptor; --toy ignored the file keys altogether.
+    @pytest.mark.parametrize("config, message", [
+        ({"preset": ["x"]}, "'preset' must be a string"),
+        ({"k1": True}, "'k1' must be a number"),
+        ({"b": "0.5"}, "'b' must be a number"),
+        ({"entity_file": 7}, "'entity_file' must be a string"),
+        ({"k_1": 2.0}, "unknown config key 'k_1'"),
+    ], ids=["list-preset", "bool-k1", "string-b", "number-path", "unknown-key"])
+    def test_mistyped_config_is_config_error(self, runner, tmp_path, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["retrieve", "--toy", "--query", "capital of Veltria",
+                                     "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "kind=ConfigError" in result.output
+        assert message in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_evaluate_workers_below_one_is_config_error(self, runner, tmp_path, workers):
         result = run(runner, "evaluate", "--toy", "--workers", workers,
@@ -360,6 +381,17 @@ class TestDeterminism:
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
         assert outputs[0][2] == outputs[1][2]
+
+    def test_evaluate_workers_write_the_same_bytes(self, runner, tmp_path):
+        outputs = []
+        for workers in ("1", "4"):
+            out = tmp_path / workers
+            result = run(runner, "evaluate", "--toy", "--workers", workers,
+                         "--out", str(out))
+            assert result.exit_code == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("report.csv", "trace.jsonl", "gold_cache.json")])
+        assert outputs[0] == outputs[1]
 
     def test_augment_byte_identical(self, runner, tmp_path):
         blobs = []

@@ -71,6 +71,25 @@ class TestLoadDataset:
         assert [ex.id for ex in loaded.examples] == ["a"]
         assert loaded.line_errors == ((2, "expected a JSON object"),)
 
+    # Before the check these loaded through str(): a null question became
+    # the question "None".
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7), ("question", None), ("sparql", ["SELECT"]), ("split", 1),
+        ("dataset", None), ("dataset", {"name": "demo"}),
+    ])
+    def test_field_that_is_not_a_string(self, tmp_path, field, value):
+        path = write_jsonl(tmp_path / "d.jsonl",
+                           [example_row("a"), example_row("b", **{field: value})])
+        loaded = load_dataset(path)
+        assert [ex.id for ex in loaded.examples] == ["a"]
+        assert loaded.line_errors == ((2, f"{field} must be a string"),)
+
+    def test_dataset_and_split_names_are_shared(self, tmp_path):
+        path = write_jsonl(tmp_path / "d.jsonl",
+                           [example_row("a", dataset="demo"), example_row("b", dataset="demo")])
+        first, second = load_dataset(path).examples
+        assert first.dataset is second.dataset and first.split is second.split
+
     @pytest.mark.parametrize("field, value", [
         ("entities", "Q1"), ("entities", None), ("entities", [1]),
         ("predicates", 7), ("predicates", None), ("predicates", ["P1", 2]),

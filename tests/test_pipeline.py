@@ -11,7 +11,7 @@ import pytest
 
 from kgqa import data as toy_data
 from kgqa.disambiguation import GoldOracle, RemoteReasoner
-from kgqa.errors import DisambiguationError
+from kgqa.errors import DisambiguationError, ExecutionError
 from kgqa.evaluation import (
     QaExample,
     evaluate_end_to_end,
@@ -32,7 +32,7 @@ from kgqa.pipeline import (
 )
 from kgqa.guard import rejection_report
 from kgqa.retrieval import Bm25Index, PRESETS
-from kgqa.sparql import EndpointConfig, LocalExecutor, RemoteExecutor
+from kgqa.sparql import AnswerSet, EndpointConfig, LocalExecutor, RemoteExecutor
 
 
 @pytest.fixture
@@ -160,6 +160,92 @@ class TestGoldAnswersOnExamples:
         assert cached == {"answers": {o.question_id: list(o.gold_answers)
                                       for o in report.outcomes if not o.gold_error}}
         assert sorted(cached["answers"]) == [examples[0].id, examples[2].id]
+
+
+class CountingExecutor:
+    """Records every query it is asked to run; fails the first ``fail``
+    calls with an ExecutionError."""
+
+    def __init__(self, inner, fail=0):
+        self.inner = inner
+        self.fail = fail
+        self.calls = []
+
+    def run(self, query_text):
+        self.calls.append(query_text)
+        if len(self.calls) <= self.fail:
+            raise ExecutionError("endpoint went away")
+        return self.inner.run(query_text)
+
+
+class TestOneRunPerQuery:
+    """The guard reads the gold run's answers when the generated query is
+    the gold one, so each distinct query runs once per question."""
+
+    def _run(self, snapshot, examples, generated=None, fail=0):
+        example = examples[0]
+        cfg = oracle_config(snapshot, examples)
+        cfg.executor = CountingExecutor(LocalExecutor(snapshot), fail)
+        if generated is not None:
+            cfg.generator = GoldPassthrough(generated)
+        return run_example(example, cfg), cfg.executor.calls
+
+    def test_gold_query_runs_once(self, toy_snapshot, toy_examples):
+        outcome, calls = self._run(toy_snapshot, toy_examples)
+        assert calls == [toy_examples[0].gold_query]
+        assert outcome.verdict.accepted
+        assert outcome.answers == outcome.gold_answers == ("Q2",)
+        assert outcome.metrics.f1 == 1.0
+
+    @pytest.mark.parametrize("spelling", ["whitespace", "prefix", "keyword-case"])
+    def test_same_query_spelled_otherwise_runs_once(self, toy_snapshot, toy_examples,
+                                                    spelling):
+        gold = toy_examples[0].gold_query
+        variant = {
+            "whitespace": "  " + gold.replace(" ", "\n\t "),
+            "prefix": "PREFIX wd: <http://www.wikidata.org/entity/>\n"
+                      "PREFIX wdt: <http://www.wikidata.org/prop/direct/>\n" + gold,
+            "keyword-case": gold.replace("SELECT", "select").replace("WHERE", "where"),
+        }[spelling]
+        assert variant != gold
+        outcome, calls = self._run(toy_snapshot, toy_examples, variant)
+        assert calls == [gold]
+        assert outcome.query_text == variant
+        assert outcome.verdict.accepted
+        assert outcome.answers == ("Q2",)
+
+    @pytest.mark.parametrize("generated", ["SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
+                                           "SELECT ?x WHERE { FILTER }"],
+                             ids=["other-query", "unparsable"])
+    def test_other_query_runs(self, toy_snapshot, toy_examples, generated):
+        outcome, calls = self._run(toy_snapshot, toy_examples, generated)
+        assert calls == [toy_examples[0].gold_query, generated]
+        assert outcome.query_text == generated
+        assert outcome.answers != ("Q2",)
+
+    def test_gold_answers_on_the_example_are_not_a_run(self, toy_snapshot, toy_examples):
+        # Cached answers that disagree with the graph: reusing them as the
+        # guard's answers would score a perfect match.
+        toy_examples[0].gold_answers = AnswerSet.of(["Q3"])
+        outcome, calls = self._run(toy_snapshot, toy_examples)
+        assert calls == [toy_examples[0].gold_query]
+        assert outcome.gold_answers == ("Q3",)
+        assert outcome.answers == ("Q2",)
+        assert outcome.metrics.f1 == 0.0
+
+    def test_failed_gold_run_is_not_reused(self, toy_snapshot, toy_examples):
+        outcome, calls = self._run(toy_snapshot, toy_examples, fail=1)
+        assert calls == [toy_examples[0].gold_query] * 2
+        assert outcome.gold_error
+        assert outcome.error == "gold query failed: endpoint went away"
+        assert outcome.verdict.accepted
+        assert outcome.answers == ("Q2",)
+        assert outcome.metrics is None
+
+    def test_outcome_keeps_one_copy_of_the_answers(self, toy_snapshot, toy_examples):
+        outcome, _ = self._run(toy_snapshot, toy_examples)
+        assert outcome.answers is outcome.gold_answers
+        assert outcome.verdict.accepted and outcome.verdict.answers is None
 
 
 class TestTemplateBaseline:

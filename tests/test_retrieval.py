@@ -1,6 +1,8 @@
 """BM25 indexing, search, reparametrized views, recall, sweeps and presets."""
 
+import json
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -13,6 +15,8 @@ from kgqa.kgstore import EntityRecord, PredicateRecord
 from kgqa.retrieval import (
     Bm25Index,
     Bm25Params,
+    CandidateSet,
+    Hits,
     PRESETS,
     recall_at_k,
     sweep,
@@ -549,6 +553,83 @@ class TestWithParams:
             assert getattr(view, name) is getattr(base, name)
         assert base.params == Bm25Params(1.5, 0.75)
         assert np.array_equal(base.norm, norm)
+
+
+    def test_weights_match_fresh_build_bit_for_bit(self):
+        rng = random.Random(4242)
+        doc_tokens = random_corpus(rng, max_docs=40)
+        records = [PredicateRecord(f"D{i:03d}", " ".join(t), "")
+                   for i, t in enumerate(doc_tokens)]
+        base = Bm25Index(records, Bm25Params(1.5, 0.75), "predicate")
+        weights = base.weights.copy()
+        for params in self.GRID:
+            view = base.with_params(params)
+            fresh = Bm25Index(records, params, "predicate")
+            assert view.weights.tobytes() == fresh.weights.tobytes()
+            for query in (" ".join(d[:3]) for d in doc_tokens[:5]):
+                got, want = view.search(query, 50).hits, fresh.search(query, 50).hits
+                assert [s for _, s in got] == [s for _, s in want]
+        assert base.weights.tobytes() == weights.tobytes()
+
+    def test_weights_are_the_scalar_formula(self):
+        records = [PredicateRecord("P1", "red apple"),
+                   PredicateRecord("P2", "green apple pie apple")]
+        index = Bm25Index(records, Bm25Params(1.2, 0.6), "predicate")
+        k1, b = index.params.k1, index.params.b
+        for t in index.term_ids.values():
+            for pos in range(index.offsets[t], index.offsets[t + 1]):
+                d, tf = int(index.docs[pos]), float(index.tfs[pos])
+                norm = k1 * (1.0 - b + b * int(index.doc_len[d]) / index.avgdl)
+                assert index.weights[pos] == \
+                    float(index.idf[t]) * (tf * (k1 + 1.0)) / (tf + norm)
+
+
+class TestHits:
+    """``CandidateSet.hits`` keeps the contract of a tuple of (id, score)."""
+
+    PAIRS = (("Q10", 2.5), ("Q2", 2.5), ("Q9", 0.125))
+
+    def test_reads_like_a_tuple_of_pairs(self):
+        hits = Hits([i for i, _ in self.PAIRS], [s for _, s in self.PAIRS])
+        assert len(hits) == 3 and bool(hits)
+        assert list(hits) == list(self.PAIRS)
+        assert hits[0] == ("Q10", 2.5) and hits[-1] == ("Q9", 0.125)
+        assert hits[1:] == self.PAIRS[1:] and type(hits[1:]) is tuple
+        assert hits[::-1] == self.PAIRS[::-1]
+        assert dict(hits) == dict(self.PAIRS)
+        assert ("Q2", 2.5) in hits and ("Q2", 1.0) not in hits
+        with pytest.raises(IndexError):
+            hits[3]
+        assert all(type(score) is float for _, score in hits)
+        assert type(hits[0][1]) is float
+
+    def test_equality_and_hash(self):
+        hits = Hits([i for i, _ in self.PAIRS], [s for _, s in self.PAIRS])
+        assert hits == self.PAIRS and self.PAIRS == hits
+        assert hash(hits) == hash(self.PAIRS)
+        assert hits != self.PAIRS[:2] and hits != list(self.PAIRS)
+        assert Hits([], []) == () and not Hits([], [])
+        same = Hits(["Q10", "Q2", "Q9"], [2.5, 2.5, 0.125])
+        assert hits == same and hash(hits) == hash(same)
+        assert hits != Hits(["Q10", "Q2", "Q9"], [2.5, 2.5, 0.25])
+        candidates = CandidateSet(query="q", kind="entity", hits=hits)
+        assert hash(candidates) == hash(CandidateSet(query="q", kind="entity",
+                                                     hits=self.PAIRS))
+        assert candidates == CandidateSet(query="q", kind="entity", hits=self.PAIRS)
+        assert pickle.loads(pickle.dumps(hits)) == hits
+
+    def test_search_scores_and_json_match_the_tuple_form(self):
+        records = [EntityRecord(f"Q{i}", f"doc shared tok{i} " * (i % 3 + 1))
+                   for i in range(1, 30)]
+        index = Bm25Index.build(records, Bm25Params(1.2, 0.6))
+        hits = index.search("shared tok3 tok7", 10).hits
+        assert isinstance(hits, Hits)
+        pairs = tuple((i, s) for i, s in hits)
+        assert hits == pairs
+        assert all(type(score) is float for _, score in hits)
+        assert json.dumps([[i, s] for i, s in hits]) == \
+            json.dumps([[i, s] for i, s in pairs])
+        assert repr(hits) == f"Hits({pairs!r})"
 
 
 class TestSweep:
