@@ -89,19 +89,11 @@ def _gold_run(example, cfg) -> tuple[AnswerSet, bool]:
     return cfg.executor.run(example.gold_query), True
 
 
-def _same_query(a: str, b: str) -> bool:
-    """Whether two query texts parse to the same query. Texts the parser
-    rejects compare unequal, so they still reach the executor."""
-    try:
-        return parse(a) == parse(b)
-    except KgqaError:
-        return False
-
-
 class _GoldReuse:
     """The executor the guard uses for one question whose gold query ran:
-    a query equal to the gold one, by text or else by parsed form, reads
-    the gold run's answers; any other query runs."""
+    a query with the gold query's text reads the gold run's answers; any
+    other query runs. Only the text is compared: a remote endpoint reads
+    the text, ``PREFIX`` bindings included, which the parsed form drops."""
 
     __slots__ = ("executor", "gold_query", "gold")
 
@@ -111,7 +103,7 @@ class _GoldReuse:
         self.gold = gold
 
     def run(self, query_text: str) -> AnswerSet:
-        if query_text == self.gold_query or _same_query(query_text, self.gold_query):
+        if query_text == self.gold_query:
             return self.gold
         return self.executor.run(query_text)
 
@@ -147,11 +139,11 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
     read in the order gold, entity, predicate, and all of them before
     generation starts.
 
-    The guard executes the generated query only when it differs from the
-    gold query that ran: an equal query, by text or by parsed form, reads
-    the gold run's answers, so each distinct query runs once. A gold run
-    that failed, and gold answers already on the example, are not reused;
-    the guard then runs the generated query itself.
+    The guard executes the generated query only when its text differs from
+    the gold query that ran: the same text reads the gold run's answers, so
+    each distinct query runs once. A gold run that failed, and gold answers
+    already on the example, are not reused; the guard then runs the
+    generated query itself.
     """
     outcome = PipelineOutcome(
         question_id=example.id, dataset=example.dataset, question=example.question,

@@ -10,10 +10,12 @@ Tokenization: lowercase, maximal alphanumeric runs (underscore excluded),
 no stemming, no stopwords. A document is ``label + " " + description``
 plus space-joined aliases for entities.
 
-Each posting's contribution ``idf * (tf * (k1 + 1)) / (tf + norm)`` is
-computed once per ``(k1, b)``, with the same IEEE double operations in the
-same order as the scalar formula. Search accumulates one query token at a
-time: one gather, add and scatter of that token's contributions.
+Search accumulates one query token at a time over flat numpy posting
+arrays. Each token's update is the scalar formula above applied per
+document, with the same IEEE double operations in the same order. A
+term's per-document contributions are computed the first time a search
+meets the term under a ``(k1, b)`` and kept, so a later search adds them
+with one gather, add and scatter.
 
 An index over document texts indexed before loads its term ids and
 postings from a ``kgqa.cache`` entry instead of tokenizing. The entry's key
@@ -45,8 +47,6 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # in one step. Its token lists stay under the collector's generation-0
 # threshold (700 containers), so they trigger no collection of their own.
 _BLOCK_DOCS = 256
-# Postings per block when weighting them: 512 KiB temporaries.
-_BLOCK_POSTINGS = 1 << 16
 # The arrays of an index that ``(k1, b)`` leave alone, with their dtypes.
 _ARRAYS = {"offsets": np.dtype(np.int64), "docs": np.dtype(np.int32),
            "tfs": np.dtype(np.float64), "doc_len": np.dtype(np.int32),
@@ -224,11 +224,11 @@ class Bm25Index:
     Postings are flat arrays in CSR form. Term ``t = term_ids[token]``
     occurs in documents ``docs[offsets[t]:offsets[t + 1]]``, in ascending
     order, with term frequencies ``tfs`` at the same positions. ``norm[d]``
-    is ``k1 * (1 - b + b * doc_len[d] / avgdl)``, ``idf[t]`` the term's
-    idf, and ``weights`` holds each posting's contribution to a score,
-    ``idf[t] * (tf * (k1 + 1)) / (tf + norm[d])``. Document indexes follow
-    ``doc_ids``, which are sorted. Only ``params``, ``norm`` and ``weights``
-    depend on ``(k1, b)``; ``with_params`` recomputes them.
+    is ``k1 * (1 - b + b * doc_len[d] / avgdl)`` and ``idf[t]`` the term's
+    idf. Document indexes follow ``doc_ids``, which are sorted. Only
+    ``params``, ``norm`` and the contributions kept by ``_weights`` depend
+    on ``(k1, b)``; ``with_params`` recomputes ``norm`` and starts with no
+    kept contributions.
 
     Everything else depends only on the document texts in id order, which
     key its cache entry.
@@ -253,32 +253,36 @@ class Bm25Index:
         self.offsets, self.docs, self.tfs, self.doc_len, self.idf = (
             arrays[name] for name in _ARRAYS)
         self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / n
-        self.norm, self.weights = self._weighted()
+        self.norm = self._norm()
+        self._term_weights = {}
 
-    def _weighted(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(norm, weights)`` under ``params``. Each weight takes the scalar
-        formula's operations in its order. The weights are computed in place,
-        block by block, so no temporary is as large as the postings."""
+    def _norm(self) -> np.ndarray:
         k1, b = self.params.k1, self.params.b
         if self.avgdl > 0:
-            norm = k1 * (1.0 - b + b * self.doc_len / self.avgdl)
-        else:
-            norm = np.full(len(self.doc_len), k1 * (1.0 - b))
-        weights = np.repeat(self.idf, np.diff(self.offsets))
-        for lo in range(0, len(weights), _BLOCK_POSTINGS):
-            hi = lo + _BLOCK_POSTINGS
-            tf = self.tfs[lo:hi]
-            weights[lo:hi] *= tf * (k1 + 1.0)
-            weights[lo:hi] /= tf + norm[self.docs[lo:hi]]
-        return norm, weights
+            return k1 * (1.0 - b + b * self.doc_len / self.avgdl)
+        return np.full(len(self.doc_len), k1 * (1.0 - b))
+
+    def _weights(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Term ``t``'s documents and its contribution to each one's score,
+        ``idf[t] * (tf * (k1 + 1)) / (tf + norm[d])``, computed on first use
+        and kept. Threads that race on a term compute equal arrays."""
+        weighted = self._term_weights.get(t)
+        if weighted is None:
+            lo, hi = self.offsets[t], self.offsets[t + 1]
+            ids, tf = self.docs[lo:hi], self.tfs[lo:hi]
+            k1p1 = self.params.k1 + 1.0
+            weighted = ids, self.idf[t] * (tf * k1p1) / (tf + self.norm[ids])
+            self._term_weights[t] = weighted
+        return weighted
 
     def with_params(self, params: Bm25Params) -> "Bm25Index":
-        """This index under other ``(k1, b)``: shares every posting array and
-        recomputes ``norm`` and ``weights``, so it scores exactly like a
-        fresh build."""
+        """This index under other ``(k1, b)``: shares every posting array,
+        recomputes ``norm`` and keeps contributions of its own, so it scores
+        exactly like a fresh build."""
         view = copy.copy(self)
         view.params = params
-        view.norm, view.weights = view._weighted()
+        view.norm = view._norm()
+        view._term_weights = {}
         return view
 
     @classmethod
@@ -301,11 +305,10 @@ class Bm25Index:
             t = self.term_ids.get(tok)
             if t is None:
                 continue
-            lo, hi = self.offsets[t], self.offsets[t + 1]
-            ids = self.docs[lo:hi]
+            ids, weights = self._weights(t)
             # Each doc occurs once in ids, so this is the scalar update
-            # scores[d] = scores[d] + weight with the same operations per doc.
-            scores[ids] = scores[ids] + self.weights[lo:hi]
+            # scores[d] = scores[d] + ... with the same operations per doc.
+            scores[ids] = scores[ids] + weights
         hit = np.flatnonzero(scores > 0.0)
         values = scores[hit]
         if len(hit) > k:

@@ -197,22 +197,42 @@ class TestOneRunPerQuery:
         assert outcome.answers == outcome.gold_answers == ("Q2",)
         assert outcome.metrics.f1 == 1.0
 
-    @pytest.mark.parametrize("spelling", ["whitespace", "prefix", "keyword-case"])
-    def test_same_query_spelled_otherwise_runs_once(self, toy_snapshot, toy_examples,
-                                                    spelling):
+    def test_same_query_spelled_otherwise_runs_again(self, toy_snapshot, toy_examples):
+        # Only the text is compared, so a respelled query reaches the executor.
         gold = toy_examples[0].gold_query
-        variant = {
-            "whitespace": "  " + gold.replace(" ", "\n\t "),
-            "prefix": "PREFIX wd: <http://www.wikidata.org/entity/>\n"
-                      "PREFIX wdt: <http://www.wikidata.org/prop/direct/>\n" + gold,
-            "keyword-case": gold.replace("SELECT", "select").replace("WHERE", "where"),
-        }[spelling]
-        assert variant != gold
+        variant = "  " + gold.replace(" ", "\n\t ")
         outcome, calls = self._run(toy_snapshot, toy_examples, variant)
-        assert calls == [gold]
+        assert calls == [gold, variant]
         assert outcome.query_text == variant
-        assert outcome.verdict.accepted
         assert outcome.answers == ("Q2",)
+
+    def test_rebound_prefix_reaches_the_remote_endpoint(self, toy_snapshot,
+                                                        toy_examples, fake_server):
+        # The gold query's body under a PREFIX line that binds wdt: to the
+        # wrong namespace parses to the gold query, but an endpoint reads
+        # the PREFIX line and finds nothing.
+        example = toy_examples[0]
+        rebound = "PREFIX wdt: <http://www.wikidata.org/prop/>\n" + example.gold_query
+        endpoints = ToyEndpoints(toy_snapshot, toy_examples)
+        sent = []
+
+        def respond(request):
+            kind, text = endpoints.key(request)
+            if kind == "sparql":
+                sent.append(text)
+                if text != example.gold_query:
+                    return 200, {"head": {"vars": ["v"]}, "results": {"bindings": []}}
+            return endpoints(request)
+
+        fake_server.responder = respond
+        cfg = remote_config(toy_snapshot, toy_examples, fake_server.url)
+        cfg.generator = GoldPassthrough(rebound)
+        outcome = run_example(example, cfg)
+        assert sent == [example.gold_query, rebound]
+        assert outcome.query_text == rebound
+        assert not outcome.verdict.accepted
+        assert outcome.answers == ()
+        assert outcome.metrics.f1 == 0.0
 
     @pytest.mark.parametrize("generated", ["SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
                                            "SELECT ?x WHERE { FILTER }"],

@@ -555,33 +555,39 @@ class TestWithParams:
         assert np.array_equal(base.norm, norm)
 
 
-    def test_weights_match_fresh_build_bit_for_bit(self):
+    def test_kept_contributions_match_fresh_build_bit_for_bit(self):
         rng = random.Random(4242)
         doc_tokens = random_corpus(rng, max_docs=40)
         records = [PredicateRecord(f"D{i:03d}", " ".join(t), "")
                    for i, t in enumerate(doc_tokens)]
         base = Bm25Index(records, Bm25Params(1.5, 0.75), "predicate")
-        weights = base.weights.copy()
+        queries = [" ".join(d[:3]) for d in doc_tokens[:5]]
+        before = [base.search(query, 50) for query in queries]
         for params in self.GRID:
             view = base.with_params(params)
             fresh = Bm25Index(records, params, "predicate")
-            assert view.weights.tobytes() == fresh.weights.tobytes()
-            for query in (" ".join(d[:3]) for d in doc_tokens[:5]):
+            for query in queries:
                 got, want = view.search(query, 50).hits, fresh.search(query, 50).hits
                 assert [s for _, s in got] == [s for _, s in want]
-        assert base.weights.tobytes() == weights.tobytes()
+            assert view._term_weights.keys() == fresh._term_weights.keys()
+            for t, (ids, weights) in view._term_weights.items():
+                assert np.array_equal(ids, fresh._term_weights[t][0])
+                assert weights.tobytes() == fresh._term_weights[t][1].tobytes()
+        # The views kept their own contributions; the base scores as before.
+        assert [base.search(query, 50) for query in queries] == before
 
-    def test_weights_are_the_scalar_formula(self):
+    def test_kept_contributions_are_the_scalar_formula(self):
         records = [PredicateRecord("P1", "red apple"),
                    PredicateRecord("P2", "green apple pie apple")]
         index = Bm25Index(records, Bm25Params(1.2, 0.6), "predicate")
         k1, b = index.params.k1, index.params.b
         for t in index.term_ids.values():
-            for pos in range(index.offsets[t], index.offsets[t + 1]):
-                d, tf = int(index.docs[pos]), float(index.tfs[pos])
+            ids, weights = index._weights(t)
+            assert index._weights(t)[1] is weights  # computed once
+            for d, tf, weight in zip(ids.tolist(), index.tfs[index.offsets[t]:].tolist(),
+                                     weights.tolist()):
                 norm = k1 * (1.0 - b + b * int(index.doc_len[d]) / index.avgdl)
-                assert index.weights[pos] == \
-                    float(index.idf[t]) * (tf * (k1 + 1.0)) / (tf + norm)
+                assert weight == float(index.idf[t]) * (tf * (k1 + 1.0)) / (tf + norm)
 
 
 class TestHits:
