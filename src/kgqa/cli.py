@@ -45,10 +45,10 @@ from kgqa.generation import (
     generate,
 )
 from kgqa.guard import (
+    FILTER_CHECKERS,
+    FILTER_MODES,
     GuardPolicy,
-    check_entity_mismatch,
     rejection_report,
-    strict_check_entity_mismatch,
     write_rejection_csv,
 )
 from kgqa.kgstore import load_snapshot, prune_by_degree
@@ -113,8 +113,13 @@ _CONFIG_KEYS = {
 }
 
 
-def _check_config(config_path, cfg):
-    """ConfigError unless ``cfg`` is an object of known keys of the right types."""
+def _config(config_path):
+    """The --config JSON object, or {} without --config; ConfigError unless
+    it is an object of known keys of the right types."""
+    if config_path is None:
+        return {}
+    with open(config_path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{config_path}: config must be a JSON object")
     for key, value in cfg.items():
@@ -125,16 +130,13 @@ def _check_config(config_path, cfg):
         if not valid(value):
             raise ConfigError(f"{config_path}: config key {key!r} must be {kind}, "
                               f"got {value!r}")
+    return cfg
 
 
 def _inputs(config_path, toy, entity_file, predicate_file, triple_file):
-    """Load and check the --config JSON object, then the snapshot from
-    --toy, the file flags or the config."""
-    cfg = {}
-    if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        _check_config(config_path, cfg)
+    """The checked --config object, and the snapshot from --toy, the file
+    flags or the config."""
+    cfg = _config(config_path)
     if toy:
         return cfg, load_snapshot(toy_data.toy_entity_file(),
                                   toy_data.toy_predicate_file(),
@@ -443,7 +445,7 @@ def generate_cmd(toy, entity_file, predicate_file, triple_file, question, genera
               help="Selected entity ids, comma-separated.")
 @click.option("--predicates", "predicate_ids", required=True,
               help="Selected predicate ids, comma-separated.")
-@click.option("--mode", type=click.Choice(["alg1", "strict"]), default="alg1",
+@click.option("--mode", type=click.Choice(list(FILTER_CHECKERS)), default="alg1",
               show_default=True)
 @_options(_OUTPUT_OPTIONS[:1])
 @_wrap_errors
@@ -451,8 +453,8 @@ def filter_check(toy, entity_file, predicate_file, triple_file, entity_ids,
                  predicate_ids, mode, config_path):
     """Check whether the selected entities relate to the selected predicates."""
     _, snapshot = _inputs(config_path, toy, entity_file, predicate_file, triple_file)
-    checker = strict_check_entity_mismatch if mode == "strict" else check_entity_mismatch
-    mismatch = checker(snapshot, set(_id_list(entity_ids)), set(_id_list(predicate_ids)))
+    mismatch = FILTER_CHECKERS[mode](snapshot, set(_id_list(entity_ids)),
+                                     set(_id_list(predicate_ids)))
     click.echo("REJECT pre-generation-filter" if mismatch else "PASS")
 
 
@@ -473,6 +475,8 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
     if executor_choice == "local":
         _, snapshot = _inputs(config_path, toy, entity_file, predicate_file,
                               triple_file)
+    else:
+        _config(config_path)  # a remote run needs no key, but a bad file still fails
     executor = _executor(executor_choice, snapshot, endpoint, user_agent, timeout)
     answers = executor.run(query)
     _write_json(_outdir(out) / "answers.json",
@@ -501,7 +505,7 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
 @click.option("--endpoint", default=None)
 @click.option("--user-agent", default=None)
 @click.option("--timeout", type=float, default=60.0, show_default=True)
-@click.option("--filter", "filter_mode", type=click.Choice(["off", "alg1", "strict"]),
+@click.option("--filter", "filter_mode", type=click.Choice(FILTER_MODES),
               default="alg1", show_default=True)
 @click.option("--execution-check", type=click.Choice(["on", "off"]), default="on",
               show_default=True)

@@ -1,11 +1,13 @@
 """Dataset loading, end-to-end scoring, and split tooling.
 
 Datasets are JSON Lines with keys id, question, sparql, entities, split
-(plus optional predicates, dataset, answers). Reports are macro-averaged
-per dataset over the questions whose gold query ran; the others are
-counted apart. Every question also leaves a JSON trace line. Gold answer
-sets come from executing the gold query once; `evaluate_end_to_end` keeps
-them on the examples and `gold_cache.json` records them.
+(plus optional predicates, dataset, answers), read by the catalogs' reader
+``kgstore.read_jsonl``, so a malformed line is reported as in a catalog.
+Reports are macro-averaged per dataset over the questions whose gold query
+ran; the others are counted apart. Every question also leaves a JSON trace
+line. Gold answer sets come from executing the gold query once;
+`evaluate_end_to_end` keeps them on the examples and `gold_cache.json`
+records them.
 """
 
 import csv
@@ -17,6 +19,7 @@ from typing import Optional, Sequence
 
 from kgqa.errors import ConfigError, LoadError
 from kgqa.ids import is_entity_id
+from kgqa.kgstore import read_jsonl
 from kgqa.pipeline import PipelineConfig, PipelineOutcome, run_example
 from kgqa.sparql.answers import AnswerSet
 
@@ -52,65 +55,50 @@ def _string_array(value) -> bool:
 
 
 def load_dataset(path) -> DatasetLoadResult:
-    """Load examples, tolerating bad lines; fails only when nothing loads."""
+    """Load examples, tolerating bad lines; fails only when nothing loads.
+    Each line error is (line number, message), in line order."""
     examples = []
-    line_errors = []
+    offenders: list[tuple[str, int, str]] = []
     split_counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                line_errors.append((lineno, f"invalid JSON: {exc.msg}"))
-                continue
-            if not isinstance(obj, dict):
-                line_errors.append((lineno, "expected a JSON object"))
-                continue
-            missing = [k for k in _REQUIRED_KEYS if k not in obj]
-            if missing:
-                line_errors.append((lineno, f"missing keys: {', '.join(missing)}"))
-                continue
-            wrong = next((key for key in _STRING_KEYS
-                          if not isinstance(obj.get(key, ""), str)), None)
-            if wrong:
-                line_errors.append((lineno, f"{wrong} must be a string"))
-                continue
-            if not obj["question"] or not obj["sparql"]:
-                line_errors.append((lineno, "question and sparql must be non-empty"))
-                continue
-            answers = obj.get("answers")
-            arrays = (("entities", obj["entities"]), ("predicates", obj.get("predicates", [])),
-                      ("answers", [] if answers is None else answers))
-            wrong = next((key for key, value in arrays if not _string_array(value)), None)
-            if wrong:
-                line_errors.append((lineno, f"{wrong} must be an array of strings"))
-                continue
-            entities = set(obj["entities"])
-            bad = [e for e in entities if not is_entity_id(e)]
-            if bad:
-                line_errors.append((lineno, f"bad entity ids: {', '.join(sorted(bad))}"))
-                continue
-            # Every row repeats its dataset and split names: one string each.
-            example = QaExample(
-                id=obj["id"],
-                question=obj["question"],
-                gold_query=obj["sparql"],
-                gold_entities=entities,
-                gold_predicates=set(obj.get("predicates", ())),
-                gold_answers=AnswerSet.of(answers) if answers is not None else None,
-                dataset=sys.intern(obj.get("dataset", "default")),
-                split=sys.intern(obj["split"]),
-            )
-            examples.append(example)
-            split_counts[example.split] = split_counts.get(example.split, 0) + 1
+    where = str(path)
+    for lineno, obj in read_jsonl(path, _REQUIRED_KEYS, offenders):
+        wrong = next((key for key in _STRING_KEYS
+                      if not isinstance(obj.get(key, ""), str)), None)
+        if wrong:
+            offenders.append((where, lineno, f"{wrong} must be a string"))
+            continue
+        if not obj["question"] or not obj["sparql"]:
+            offenders.append((where, lineno, "question and sparql must be non-empty"))
+            continue
+        answers = obj.get("answers")
+        arrays = (("entities", obj["entities"]), ("predicates", obj.get("predicates", [])),
+                  ("answers", [] if answers is None else answers))
+        wrong = next((key for key, value in arrays if not _string_array(value)), None)
+        if wrong:
+            offenders.append((where, lineno, f"{wrong} must be an array of strings"))
+            continue
+        entities = set(obj["entities"])
+        bad = [e for e in entities if not is_entity_id(e)]
+        if bad:
+            offenders.append((where, lineno, f"bad entity ids: {', '.join(sorted(bad))}"))
+            continue
+        # Every row repeats its dataset and split names: one string each.
+        example = QaExample(
+            id=obj["id"],
+            question=obj["question"],
+            gold_query=obj["sparql"],
+            gold_entities=entities,
+            gold_predicates=set(obj.get("predicates", ())),
+            gold_answers=AnswerSet.of(answers) if answers is not None else None,
+            dataset=sys.intern(obj.get("dataset", "default")),
+            split=sys.intern(obj["split"]),
+        )
+        examples.append(example)
+        split_counts[example.split] = split_counts.get(example.split, 0) + 1
     if not examples:
-        raise LoadError(f"{path}: no valid examples",
-                        [(str(path), no, msg) for no, msg in line_errors])
+        raise LoadError(f"{path}: no valid examples", offenders)
     return DatasetLoadResult(examples=tuple(examples),
-                             line_errors=tuple(line_errors),
+                             line_errors=tuple((no, msg) for _, no, msg in offenders),
                              split_counts=split_counts)
 
 

@@ -23,9 +23,6 @@ STAGE_EXECUTION_ERROR = "execution-error"
 STAGE_EMPTY = "empty-result"
 STAGE_ACCEPTED = "accepted"
 
-FILTER_MODES = ("off", "alg1", "strict")
-
-
 def check_entity_mismatch(snapshot: Snapshot, entities, predicates) -> bool:
     """True when no selected entity touches any selected predicate.
 
@@ -55,9 +52,14 @@ def strict_check_entity_mismatch(snapshot: Snapshot, entities, predicates) -> bo
     return False
 
 
+# The pre-generation check of each filter mode; "off" runs none.
+FILTER_CHECKERS = {"alg1": check_entity_mismatch, "strict": strict_check_entity_mismatch}
+FILTER_MODES = ("off", *FILTER_CHECKERS)
+
+
 @dataclass(frozen=True)
 class GuardPolicy:
-    filter: str = "alg1"  # "off" | "alg1" | "strict"
+    filter: str = "alg1"  # one of FILTER_MODES
     execution: bool = True
 
     def __post_init__(self):
@@ -86,16 +88,14 @@ class GuardContext:
 
 def guard_pipeline(ctx: GuardContext) -> GuardVerdict:
     """Apply the configured stages in order; failures become verdicts."""
-    if ctx.policy.filter != "off":
-        checker = (strict_check_entity_mismatch if ctx.policy.filter == "strict"
-                   else check_entity_mismatch)
-        if checker(ctx.snapshot, ctx.entities, ctx.predicates):
-            return GuardVerdict(
-                accepted=False, stage=STAGE_FILTER,
-                detail=(f"no selected entity relates to the selected predicates "
-                        f"(entities={sorted(ctx.entities)}, "
-                        f"predicates={sorted(ctx.predicates)})"),
-            )
+    checker = FILTER_CHECKERS.get(ctx.policy.filter)
+    if checker is not None and checker(ctx.snapshot, ctx.entities, ctx.predicates):
+        return GuardVerdict(
+            accepted=False, stage=STAGE_FILTER,
+            detail=(f"no selected entity relates to the selected predicates "
+                    f"(entities={sorted(ctx.entities)}, "
+                    f"predicates={sorted(ctx.predicates)})"),
+        )
     if callable(ctx.query):
         try:
             query_text = ctx.query()

@@ -7,6 +7,8 @@ File formats:
     token shaped like "Q" + digits is an entity reference, anything else
     a literal kept verbatim.
 
+Catalog ids are shaped like "Q" or "P" + digits, in records as in files.
+``read_jsonl`` reads both catalogs and ``evaluation.load_dataset``'s file.
 Unknown JSON keys are ignored. Entity degrees are always recomputed from
 the triples; degree values present in the input are discarded.
 
@@ -263,9 +265,10 @@ class Snapshot:
 _scan_json = json.JSONDecoder().scan_once
 
 
-def _read_jsonl(path, required, offenders):
-    """Yield (lineno, object) per well-formed row; malformed rows go to
-    ``offenders`` as they are read."""
+def read_jsonl(path, required, offenders):
+    """Yield (lineno, object) per row that is an object holding every key in
+    ``required``; blank lines are skipped, other rows go to ``offenders`` as
+    (path, lineno, message) as they are read."""
     keys = frozenset(required)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -348,7 +351,7 @@ def _parse(paths) -> Snapshot:
     # A catalog's failed checks follow all of that file's parse errors.
     invalid: list[tuple[str, int, str]] = []
     entities: dict[str, tuple] = {}  # records are built once degrees are known
-    for lineno, obj in _read_jsonl(entity_file, ("id", "label"), offenders):
+    for lineno, obj in read_jsonl(entity_file, ("id", "label"), offenders):
         eid = str(obj["id"])
         if not is_entity_id(eid):
             invalid.append((str(entity_file), lineno, f"bad entity id {eid!r}"))
@@ -366,7 +369,7 @@ def _parse(paths) -> Snapshot:
     invalid.clear()
 
     predicates: dict[str, PredicateRecord] = {}
-    for lineno, obj in _read_jsonl(predicate_file, ("id", "label"), offenders):
+    for lineno, obj in read_jsonl(predicate_file, ("id", "label"), offenders):
         pid = str(obj["id"])
         if not is_predicate_id(pid):
             invalid.append((str(predicate_file), lineno, f"bad predicate id {pid!r}"))
@@ -382,9 +385,8 @@ def _parse(paths) -> Snapshot:
     offenders += invalid
 
     with open(triple_file, encoding="utf-8") as fh:
-        # Every catalog id passed is_entity_id: the catalog is also ``objects``.
         return _build(_tsv_rows(fh, str(triple_file), offenders), str(triple_file),
-                      entities, entities, predicates, offenders, "snapshot load failed")
+                      entities, predicates, offenders, "snapshot load failed")
 
 
 def _tsv_rows(fh, path, offenders):
@@ -402,27 +404,31 @@ def _tsv_rows(fh, path, offenders):
 def snapshot_from_records(entity_records: Iterable[EntityRecord],
                           predicate_records: Iterable[PredicateRecord],
                           triples: Iterable[tuple]) -> Snapshot:
-    """Build a snapshot directly from records (programmatic construction)."""
-    entities = {r.id: (r.id, r.label, r.description, r.aliases) for r in entity_records}
+    """Build a snapshot directly from records (programmatic construction);
+    an entity id ``load_snapshot`` would reject is a bad entity id here."""
+    offenders, entities = [], {}
+    for n, r in enumerate(entity_records, start=1):
+        if is_entity_id(r.id):
+            entities[r.id] = (r.id, r.label, r.description, r.aliases)
+        else:
+            offenders.append(("<entity records>", n, f"bad entity id {r.id!r}"))
     predicates = {r.id: r for r in predicate_records}
-    # A record id not shaped like an entity id is a literal as an object.
-    objects = {e: f for e, f in entities.items() if is_entity_id(e)}
     return _build(enumerate((Triple(*t) for t in triples), start=1), "<records>",
-                  entities, objects, predicates, [], "snapshot construction failed")
+                  entities, predicates, offenders, "snapshot construction failed")
 
 
-def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
+def _build(rows, source, entities: dict[str, tuple],
            predicates: dict[str, PredicateRecord], offenders, failure) -> Snapshot:
     """Validate (lineno, (s, p, o)) rows into integer columns in one pass,
     dedupe them and index each position, then build each entity's record.
 
-    ``entities`` maps ids to (id, label, description, aliases). An object in
-    ``objects`` is an entity, any other Q-shaped object an unknown entity, the
-    rest literals. Triples hold the catalogs' own id strings. Raises
-    LoadError(failure) if ``offenders`` is not empty at the end.
+    ``entities`` maps entity-shaped ids to (id, label, description, aliases).
+    An object in ``entities`` is an entity, any other Q-shaped object an
+    unknown entity, the rest literals, so every term string has one id.
+    Triples hold the catalogs' own id strings. Raises LoadError(failure) if
+    ``offenders`` is not empty at the end.
     """
     entity_ids = dict(zip(entities, range(len(entities))))
-    object_ids = entity_ids if objects is entities else {e: entity_ids[e] for e in objects}
     predicate_ids = dict(zip(predicates, range(len(predicates))))
     literal_ids: dict[str, int] = {}  # literals get ids after the entities
     n_entities = len(entity_ids)
@@ -437,7 +443,7 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
         if pid is None:
             offenders.append((source, lineno, f"unknown predicate {p}"))
             continue
-        oid = object_ids.get(o)
+        oid = entity_ids.get(o)
         if oid is None:
             oid = literal_ids.get(o)
             if oid is None:
@@ -456,7 +462,7 @@ def _build(rows, source, entities: dict[str, tuple], objects: dict[str, tuple],
     s, p, o = s[keep], p[keep], o[keep]
     degrees = _degrees(s, p, o, n_entities, len(predicate_ids))
     return _assemble((s, p, o), degrees, entities, predicates,
-                     (entity_ids, predicate_ids, object_ids), literal_ids)
+                     (entity_ids, predicate_ids, entity_ids), literal_ids)
 
 
 def _assemble(columns, degrees, entities, predicates, key_ids, literal_ids) -> Snapshot:

@@ -239,15 +239,15 @@ class Bm25Index:
             raise IndexBuildError("cannot build an index over an empty catalog")
         self.params = params
         self.kind = kind
-        self.records = tuple(sorted(records, key=lambda r: r.id))
-        self.by_id = {r.id: r for r in self.records}
-        self.doc_ids = [r.id for r in self.records]
+        records = sorted(records, key=lambda r: r.id)
+        self.by_id = {r.id: r for r in records}
+        self.doc_ids = [r.id for r in records]
 
-        n = len(self.records)
-        key = _key(self.records)
+        n = len(records)
+        key = _key(records)
         built = cache.load("bm25", INDEX_FORMAT, key, lambda arrays: _from_entry(arrays, n))
         if built is None:
-            built = _tokenized(self.records)
+            built = _tokenized(records)
             cache.store("bm25", INDEX_FORMAT, key, _entry(*built))
         self.term_ids, arrays = built
         self.offsets, self.docs, self.tfs, self.doc_len, self.idf = (

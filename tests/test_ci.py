@@ -104,6 +104,14 @@ def test_remote_workload_must_report_correct_and_no_failures():
                             "--seconds", "3", "--trace", "0"])
 
 
+def test_retrieval_workload_must_report_correct_and_no_failures():
+    """qa-retrieval runs BM25 entity search over its 100k-entity catalog,
+    the one workload no other step runs."""
+    _assert_benchmark_step("BM25 entity search runs end to end on qa-retrieval",
+                           ["--workload", "qa-retrieval", "--seed", "1",
+                            "--seconds", "3", "--trace", "0"])
+
+
 def test_traced_join_workload_must_report_correct_and_no_failures():
     """perfbench's traced runner executes the gold and the generated query
     separately, and each traced pass must reproduce the untraced pass of

@@ -358,6 +358,26 @@ class TestExitCodes:
         assert message in result.output
         assert not out.exists()
 
+    # Before the fix, the remote executor never opened --config: a missing
+    # file exited 4 after trying the endpoint, and an unknown key ran.
+    @pytest.mark.parametrize("executor", ["local", "remote"])
+    @pytest.mark.parametrize("config, code, kind", [
+        (None, 3, "OSError"), ({"k_1": 2.0}, 2, "ConfigError"),
+    ], ids=["missing-file", "unknown-key"])
+    def test_execute_checks_config_on_every_executor(self, runner, tmp_path, executor,
+                                                     config, code, kind):
+        path = tmp_path / "config.json"
+        if config is not None:
+            path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [
+            "execute", "--toy", "--executor", executor, "--endpoint", "http://127.0.0.1:1/",
+            "--query", "ASK { wd:Q1 wdt:P1 wd:Q2 }", "--config", str(path),
+            "--out", str(out)])
+        assert result.exit_code == code
+        assert f"kind={kind}" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_evaluate_workers_below_one_is_config_error(self, runner, tmp_path, workers):
         result = run(runner, "evaluate", "--toy", "--workers", workers,

@@ -43,6 +43,49 @@ class TestLoadDataset:
         assert len(loaded.examples) == 1
         assert loaded.line_errors == ((2, "missing keys: sparql"),)
 
+    def test_line_errors_in_line_order(self, tmp_path):
+        """Blank lines are skipped but still counted; each bad line gets one
+        message, in line order."""
+        lines = [json.dumps(example_row("a")), "", "   ", "{not json",
+                 json.dumps(example_row("b")) + " {}", "[1]", json.dumps({"id": "c"}),
+                 json.dumps(example_row("d", question="")),
+                 json.dumps(example_row("e", sparql="")), json.dumps(example_row("f"))]
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_dataset(path)
+        assert [ex.id for ex in loaded.examples] == ["a", "f"]
+        assert loaded.line_errors == (
+            (4, "invalid JSON: Expecting property name enclosed in double quotes"),
+            (5, "invalid JSON: Extra data"),
+            (6, "expected a JSON object"),
+            (7, "missing keys: question, sparql, entities, split"),
+            (8, "question and sparql must be non-empty"),
+            (9, "question and sparql must be non-empty"),
+        )
+        assert loaded.split_counts == {"test": 2}
+
+    def test_no_valid_examples_lists_every_bad_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(["", "{not json", json.dumps({"nope": 1}),
+                                   json.dumps(example_row("a", sparql=""))]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            load_dataset(path)
+        assert err.value.offenders == [
+            (str(path), 2, "invalid JSON: Expecting property name enclosed in double quotes"),
+            (str(path), 3, "missing keys: id, question, sparql, entities, split"),
+            (str(path), 4, "question and sparql must be non-empty"),
+        ]
+        assert str(err.value).splitlines()[0] == f"{path}: no valid examples"
+
+    def test_blank_file_has_no_valid_examples(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n  \n\t\n", encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            load_dataset(path)
+        assert err.value.offenders == []
+        assert str(err.value) == f"{path}: no valid examples"
+
     def test_zero_valid_examples(self, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [{"nope": 1}])
         with pytest.raises(LoadError):

@@ -20,10 +20,10 @@ from kgqa.kgstore import (
     Triple,
     TripleTable,
     _degrees,
-    _read_jsonl,
     get_entity_relations,
     load_snapshot,
     prune_by_degree,
+    read_jsonl,
     relation_profile_or_empty,
     snapshot_from_records,
 )
@@ -84,6 +84,25 @@ class TestLoadSnapshot:
             load_snapshot(*files)
         assert "duplicate" in str(err.value)
 
+    def test_aliases_must_be_an_array(self, snapshot_files):
+        files = snapshot_files(
+            [], [("P1", "rel")], [],
+            entity_lines=['{"id": "Q1", "label": "a", "aliases": "b"}',
+                          '{"id": "Q2", "label": "b", "aliases": null}',
+                          '{"id": "Q3", "label": "c", "aliases": {"x": 1}}'])
+        with pytest.raises(LoadError) as err:
+            load_snapshot(*files)
+        assert err.value.offenders == [(str(files[0]), 1, "aliases must be an array"),
+                                       (str(files[0]), 3, "aliases must be an array")]
+
+    def test_duplicate_predicate_id(self, snapshot_files):
+        files = snapshot_files([("Q1", "one")], [], [])
+        files[1].write_text('{"id": "P1", "label": "a"}\n{"id": "P2", "label": "b"}\n'
+                            '{"id": "P1", "label": "c"}\n', encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            load_snapshot(*files)
+        assert err.value.offenders == [(str(files[1]), 3, "duplicate predicate id P1")]
+
     def test_malformed_json_line_reports_lineno(self, snapshot_files):
         files = snapshot_files(
             [], [("P1", "rel")], [],
@@ -123,7 +142,7 @@ class TestLoadSnapshot:
                 continue
             expected_rows.append((lineno, obj))
         offenders = []
-        assert list(_read_jsonl(path, ("id", "label"), offenders)) == expected_rows
+        assert list(read_jsonl(path, ("id", "label"), offenders)) == expected_rows
         assert offenders == expected_offenders
         assert len(expected_rows) == 6 and len(offenders) == 13
 
@@ -198,7 +217,7 @@ class TestLoadSnapshot:
         files = snapshot_files(
             [], [], [], entity_lines=['{"id": "Q1", "label": "a"}', "{not json"])
         offenders = []
-        rows = _read_jsonl(files[0], ("id", "label"), offenders)
+        rows = read_jsonl(files[0], ("id", "label"), offenders)
         assert next(rows) == (1, {"id": "Q1", "label": "a"})
         assert offenders == []
         assert list(rows) == []
@@ -330,29 +349,30 @@ class TestLoaderEquivalence:
                 assert t.object not in entity_keys or t.object is entity_keys[t.object]
             assert all(rec.id is k for k, rec in snap.entities.items())
 
-    def test_non_entity_record_id_is_a_literal_object(self):
+    def test_non_entity_record_id_is_rejected(self):
         rng = random.Random(5)
         for _ in range(20):
             entities, predicates, triples = random_rows(rng)
             triples.append(("Q1", "P1", "X1"))
-            plain = snapshot_from_records(entities, predicates, triples)
-            with_x = snapshot_from_records([*entities, EntityRecord("X1", "x")], predicates,
-                                           triples)
-            assert with_x.triples == plain.triples
-            assert with_x.match(o="X1") == plain.match(o="X1") == (("Q1", "P1", "X1"),)
-            assert with_x.profiles["X1"].incoming == frozenset()
-            assert with_x.entities["X1"].degree == 0
-            assert_profile_sets_shared(with_x)
-            assert_same_snapshot(with_x, plain, drop={"X1"})
+            with pytest.raises(LoadError) as err:
+                snapshot_from_records([*entities, EntityRecord("X1", "x")], predicates,
+                                      triples)
+            assert err.value.offenders == [
+                ("<entity records>", len(entities) + 1, "bad entity id 'X1'")]
+            assert "'X1'" in str(err.value)
 
-
-    def test_non_entity_record_self_loop_is_outgoing(self):
-        snap = snapshot_from_records(
-            [EntityRecord("Q1", "a"), EntityRecord("X1", "x")], [PredicateRecord("P1", "r")],
-            [("X1", "P1", "X1"), ("Q1", "P1", "X1")])
-        assert snap.profiles["X1"].incoming == frozenset()
-        assert snap.profiles["X1"].outgoing == {"P1"}
-        assert snap.entities["X1"].degree == 1
+    def test_non_entity_record_is_rejected_as_load_snapshot_rejects_it(self,
+                                                                        snapshot_files):
+        rows = ([EntityRecord("Q1", "a"), EntityRecord("X1", "x")],
+                [PredicateRecord("P1", "r")], [("X1", "P1", "X1"), ("Q1", "P1", "X1")])
+        with pytest.raises(LoadError) as built:
+            snapshot_from_records(*rows)
+        with pytest.raises(LoadError) as loaded:
+            load_snapshot(*write_rows(snapshot_files, *rows))
+        assert built.value.offenders == [("<entity records>", 2, "bad entity id 'X1'"),
+                                         ("<records>", 1, "unknown subject entity X1")]
+        assert ([(n, msg) for _, n, msg in built.value.offenders]
+                == [(n, msg) for _, n, msg in loaded.value.offenders])
 
     def test_self_loops_beside_outgoing_triples(self, snapshot_files):
         # Q1's self-loop on P1 shares P1 with an outgoing triple; its P2

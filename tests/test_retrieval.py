@@ -548,8 +548,8 @@ class TestWithParams:
         base = Bm25Index.build(records, Bm25Params(1.5, 0.75))
         norm = base.norm.copy()
         view = base.with_params(Bm25Params(0.5, 0.0))
-        for name in ("term_ids", "offsets", "docs", "tfs", "idf", "records", "by_id",
-                     "doc_ids", "doc_len"):
+        for name in ("term_ids", "offsets", "docs", "tfs", "idf", "by_id", "doc_ids",
+                     "doc_len"):
             assert getattr(view, name) is getattr(base, name)
         assert base.params == Bm25Params(1.5, 0.75)
         assert np.array_equal(base.norm, norm)
