@@ -128,16 +128,27 @@ def pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     characters). Lone surrogates, as JSON escapes can produce, pass through."""
     strings = list(strings)
     ends = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)).cumsum()
-    text = "".join(strings).encode("utf-8", "surrogatepass")
-    return np.frombuffer(text, dtype=np.uint8), ends
+    return pack_text("".join(strings), ends)
+
+
+def pack_text(text: str, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pack_strings`` of the strings ``text`` splits into at ``ends``."""
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8), ends
+
+
+def unpack_text(blob: np.ndarray, ends: np.ndarray) -> str:
+    """The concatenation ``pack_strings`` packed, decoded in one piece;
+    ValueError if the blob and ``ends`` disagree."""
+    if blob.dtype != np.uint8 or ends.dtype != np.int64 or blob.ndim != 1 or ends.ndim != 1:
+        raise ValueError("string blob or offsets of the wrong kind")
+    text = blob.tobytes().decode("utf-8", "surrogatepass")
+    if (ends[-1] if len(ends) else 0) != len(text) or (np.diff(ends, prepend=0) < 0).any():
+        raise ValueError("string blob and offsets disagree")
+    return text
 
 
 def unpack_strings(blob: np.ndarray, ends: np.ndarray) -> list[str]:
     """The strings ``pack_strings`` packed; ValueError if the two disagree."""
-    if blob.dtype != np.uint8 or ends.dtype != np.int64 or blob.ndim != 1 or ends.ndim != 1:
-        raise ValueError("string blob or offsets of the wrong kind")
-    text = blob.tobytes().decode("utf-8", "surrogatepass")
+    text = unpack_text(blob, ends)
     bounds = [0, *ends.tolist()]
-    if bounds[-1] != len(text) or (np.diff(ends, prepend=0) < 0).any():
-        raise ValueError("string blob and offsets disagree")
     return list(map(text.__getitem__, map(slice, bounds, bounds[1:])))

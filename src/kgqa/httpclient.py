@@ -6,12 +6,13 @@ the ``max_in_flight`` gate; each attempt sends one request under the gate.
 Transport failures and the statuses a subclass calls transient are
 retried; any other non-200 status fails at once, and a call whose
 attempts all fail raises the last error.
+
+``requests`` is imported when the first client is built, so a run whose
+backends are all local never imports it.
 """
 
 import threading
 import time
-
-import requests
 
 from kgqa.errors import ConfigError, KgqaError
 
@@ -36,11 +37,13 @@ class RetryingClient:
     error = KgqaError
 
     def __init__(self, config, session=None):
+        import requests
+
         self.config = config
         self._session = session or requests.Session()
         self._gate = threading.Semaphore(config.max_in_flight)
 
-    def _send(self, method: str, **kwargs) -> requests.Response:
+    def _send(self, method: str, **kwargs):
         """One attempt, sent under the gate."""
         return getattr(self._session, method)(
             self.config.base_url, timeout=self.config.timeout, **kwargs)
@@ -49,8 +52,10 @@ class RetryingClient:
         """Whether a non-200 ``response`` is transient, and its error."""
         raise NotImplementedError
 
-    def _request(self, method: str, **kwargs) -> requests.Response:
+    def _request(self, method: str, **kwargs):
         """The first 200 response to ``method`` on ``config.base_url``."""
+        import requests
+
         cfg = self.config
         last_error = None
         for attempt in range(cfg.max_retries + 1):

@@ -7,32 +7,42 @@ File formats:
     token shaped like "Q" + digits is an entity reference, anything else
     a literal kept verbatim.
 
-Catalog ids are shaped like "Q" or "P" + digits, in records as in files.
-``read_jsonl`` reads both catalogs and ``evaluation.load_dataset``'s file.
-Unknown JSON keys are ignored. Entity degrees are always recomputed from
-the triples; degree values present in the input are discarded.
+Catalog ids are shaped like "Q" or "P" + digits and are unique, in records
+as in files. A label is a string, non-empty for a predicate; a description
+is a string or absent (or null), and an entity's aliases an array of
+strings or absent (or null). One check holds catalog rows to these rules,
+whichever constructor reads them, and reports each failing row once, in row
+order. ``read_jsonl`` reads both catalogs and ``evaluation.load_dataset``'s
+file. Unknown JSON keys are ignored. Entity degrees are always recomputed
+from the triples; degree values present in the input are discarded.
 
 The deduplicated triples are kept as three integer columns in order of
 first occurrence. Entities share one id space as subjects and as objects;
 literals get ids after it. Each position has a CSR index whose rows for a
-key are in that order. Entity records and degrees are built at load; the
-rest is built on first use and kept: a row's ``Triple`` the first time a
-match pool or a read of ``Snapshot.triples`` reaches it (one object per row,
-shared by every pool), a key's match pool on its first ``match``, and an
-entity's relation profile on its first lookup. ``len(snapshot.triples)``
-builds nothing.
+key are in that order. The entity catalog is an ``EntityCatalog``, kept as
+columns: the ids, the label, description and alias strings packed one text
+per field, and the degrees. The rest is built on first use and kept: an
+entity's record on the first lookup of its id, a row's ``Triple`` the first
+time a match pool or a read of ``Snapshot.triples`` reaches it (one object
+per row, shared by every pool), a key's match pool on its first ``match``,
+and an entity's relation profile on its first lookup.
+``len(snapshot.triples)`` builds nothing.
 
 A load digests the bytes of its three input files (blake2b). A snapshot
 loaded before from identical bytes is rebuilt from its ``kgqa.cache``
-entry instead of parsed: the deduplicated columns, the degrees, and the
-catalog and literal strings, assembled by the same code as a parse. The
-entry is written only after a parse succeeds, so a file that raises
-LoadError is parsed, and reported, every time, and only when the files
-digest the same after the parse as before it, so that an entry never
-holds what a file changed mid-load parsed to. Bump ``SNAPSHOT_FORMAT``
-when the entry's arrays or their meaning change, or when parsing the same
-bytes would give another snapshot (a new validation rule, another id
-order), so that no entry written before the change is read after it.
+entry instead of parsed: the deduplicated columns, the degrees, the entity
+rows in ascending id order, and the catalog and literal strings, assembled
+by the same code as a parse. A warm load decodes each packed text in one
+piece and builds no record. The entry is written only after a parse
+succeeds, so a file that raises LoadError is parsed, and reported, every
+time, and only when the files digest the same after the parse as before
+it, so that an entry never holds what a file changed mid-load parsed to.
+Bump ``SNAPSHOT_FORMAT`` when the entry's arrays or their meaning change,
+or when parsing the same bytes would give another snapshot (a new
+validation rule, another id order), so that no entry written before the
+change is read after it. The catalog of a snapshot that has an entry
+carries the entry's format and key as its ``content_key``, which keys the
+BM25 index built over it.
 """
 
 import gc
@@ -40,11 +50,11 @@ import hashlib
 import json
 import threading
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping, Sequence, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter, itemgetter
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -85,7 +95,7 @@ class EntityRelationProfile:
 
 _EMPTY = frozenset()
 _SUBJECT, _PREDICATE, _OBJECT = range(3)  # column positions
-SNAPSHOT_FORMAT = 1  # version of the cache entry; see the module docstring
+SNAPSHOT_FORMAT = 2  # version of the cache entry; see the module docstring
 
 
 class TripleTable(Sequence):
@@ -227,13 +237,166 @@ class _Profiles(Mapping):
         return len(self._table._key_ids[_SUBJECT])
 
 
+class _Texts:
+    """Strings kept as one text: string ``i`` is ``text[bounds[i]:bounds[i + 1]]``."""
+
+    __slots__ = ("text", "bounds")
+
+    def __init__(self, text: str, bounds: array):
+        self.text, self.bounds = text, bounds
+
+    @classmethod
+    def of(cls, strings):
+        strings = list(strings)
+        bounds = array("q", [0])
+        bounds.extend(accumulate(map(len, strings)))
+        return cls("".join(strings), bounds)
+
+    @classmethod
+    def unpacked(cls, blob, ends):
+        """The strings ``cache.pack_strings`` packed into ``blob`` and ``ends``."""
+        return cls(cache.unpack_text(blob, ends), _bounds(ends))
+
+    def __len__(self):
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i):
+        return self.text[self.bounds[i]:self.bounds[i + 1]]
+
+    def packed(self):
+        """``(blob, ends)`` as ``cache.pack_strings`` gives them."""
+        return cache.pack_text(self.text, np.frombuffer(self.bounds, dtype=np.int64)[1:])
+
+
+def _bounds(ends) -> array:
+    """``[0, *ends]`` as an ``array("q")``."""
+    bounds = array("q", [0])
+    bounds.frombytes(np.ascontiguousarray(ends, dtype=np.int64).tobytes())
+    return bounds
+
+
+class EntityCatalog(Mapping):
+    """Read-only mapping of entity ids, in catalog order, to their records,
+    kept as columns: ``ids``, the label, description and alias texts, each
+    entity's range of aliases, and ``degrees``. A record is built on the
+    first lookup of its id and kept, so a second lookup returns the same
+    object. ``content_key`` names what a loaded catalog was parsed from
+    (``load_snapshot``), or is None.
+    """
+
+    def __init__(self, ids, rows, labels, descriptions, aliases, alias_bounds, degrees,
+                 id_order=None):
+        self.ids = ids  # list of ids, catalog order
+        self._rows = rows  # id -> position in ids
+        self._labels, self._descriptions, self._aliases = labels, descriptions, aliases
+        self._alias_bounds = alias_bounds  # entity i's aliases: [bounds[i], bounds[i + 1])
+        self.degrees = degrees
+        self._id_order = id_order
+        self._memo = {}
+        self.content_key = None
+
+    @classmethod
+    def of(cls, fields, rows, degrees):
+        """The catalog of (id, label, description, aliases) tuples, in order."""
+        ids, labels, descriptions, aliases = list(zip(*fields)) or ((), (), (), ())
+        alias_bounds = array("q", [0])
+        alias_bounds.extend(accumulate(map(len, aliases)))
+        return cls(list(ids), rows, _Texts.of(labels), _Texts.of(descriptions),
+                   _Texts.of(chain.from_iterable(aliases)), alias_bounds, degrees)
+
+    def record(self, row: int) -> EntityRecord:
+        """The record of the entity at ``row``, built on first use."""
+        eid = self.ids[row]
+        record = self._memo.get(eid)
+        if record is None:
+            record = self._memo.setdefault(
+                eid, EntityRecord(eid, *self.fields(row), int(self.degrees[row])))
+        return record
+
+    def fields(self, row: int) -> tuple[str, str, tuple[str, ...]]:
+        """(label, description, aliases) of the entity at ``row``; builds no record."""
+        bounds = self._alias_bounds
+        return (self._labels[row], self._descriptions[row],
+                tuple(map(self._aliases.__getitem__, range(bounds[row], bounds[row + 1]))))
+
+    def id_order(self) -> np.ndarray:
+        """The rows in ascending id order."""
+        if self._id_order is None:
+            self._id_order = np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__),
+                                      dtype=np.intc)
+        return self._id_order
+
+    def subset(self, rows, ids) -> Mapping[str, EntityRecord]:
+        """A read-only mapping over the entities at ``rows``, iterated in the
+        order of ``ids``, their ids; it reads records through this catalog."""
+        return _Subset(self, rows, ids)
+
+    def __getitem__(self, eid):
+        record = self._memo.get(eid)
+        return self.record(self._rows[eid]) if record is None else record
+
+    def __contains__(self, eid):
+        return eid in self._rows
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def values(self):
+        return EntityValues(self)
+
+
+class EntityValues(ValuesView):
+    """The records of an ``EntityCatalog``, in catalog order."""
+
+    @property
+    def mapping(self) -> EntityCatalog:
+        return self._mapping
+
+    def __iter__(self):
+        return map(self._mapping.record, range(len(self._mapping)))
+
+
+class _Subset(Mapping):
+    """Some entities of an ``EntityCatalog``; see ``EntityCatalog.subset``."""
+
+    def __init__(self, catalog, rows, ids):
+        self._catalog, self._rows, self._ids = catalog, catalog._rows, ids
+        kept = np.zeros(len(catalog), dtype=np.uint8)
+        kept[rows] = 1
+        self._kept = kept.tobytes()
+        self._records = {}  # the records looked up so far
+
+    def __getitem__(self, eid):
+        record = self._records.get(eid)
+        if record is None:
+            row = self._rows.get(eid)
+            if row is None or not self._kept[row]:
+                raise KeyError(eid)
+            record = self._records.setdefault(eid, self._catalog.record(row))
+        return record
+
+    def __contains__(self, eid):
+        row = self._rows.get(eid)
+        return row is not None and self._kept[row] == 1
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self):
+        return len(self._ids)
+
+
 @dataclass(frozen=True, eq=False)
 class Snapshot:
-    """Loaded knowledge graph; read-only. ``triples`` is a sequence view of
-    the triple columns and ``profiles`` a mapping view; the ``_by_*`` pools
-    fill as ``match`` first uses each key."""
+    """Loaded knowledge graph; read-only. ``entities`` is a mapping view of
+    the catalog columns, ``triples`` a sequence view of the triple columns
+    and ``profiles`` a mapping view; the ``_by_*`` pools fill as ``match``
+    first uses each key."""
 
-    entities: dict[str, EntityRecord]
+    entities: EntityCatalog
     predicates: dict[str, PredicateRecord]
     triples: TripleTable
     profiles: Mapping[str, EntityRelationProfile]
@@ -323,9 +486,12 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
     if snapshot is None:
         snapshot = _parse(paths)
         # Files that changed between the two digests may have been parsed
-        # from other bytes than ``key`` names, so they get no entry.
-        if _digest(paths) == key:
-            cache.store("snapshot", SNAPSHOT_FORMAT, key, _entry(snapshot))
+        # from other bytes than ``key`` names, so they get no entry and no
+        # content key.
+        if _digest(paths) != key:
+            return snapshot
+        cache.store("snapshot", SNAPSHOT_FORMAT, key, _entry(snapshot))
+    snapshot.entities.content_key = f"snapshot-v{SNAPSHOT_FORMAT}-{key}"
     return snapshot
 
 
@@ -350,43 +516,73 @@ def _parse(paths) -> Snapshot:
     offenders: list[tuple[str, int, str]] = []
     # A catalog's failed checks follow all of that file's parse errors.
     invalid: list[tuple[str, int, str]] = []
-    entities: dict[str, tuple] = {}  # records are built once degrees are known
-    for lineno, obj in read_jsonl(entity_file, ("id", "label"), offenders):
-        eid = str(obj["id"])
-        if not is_entity_id(eid):
-            invalid.append((str(entity_file), lineno, f"bad entity id {eid!r}"))
-            continue
-        if eid in entities:
-            invalid.append((str(entity_file), lineno, f"duplicate entity id {eid}"))
-            continue
-        aliases = obj.get("aliases") or []
-        if not isinstance(aliases, list):
-            invalid.append((str(entity_file), lineno, "aliases must be an array"))
-            continue
-        entities[eid] = (eid, str(obj["label"]), str(obj.get("description") or ""),
-                         tuple(map(str, aliases)))
+    entities = _entity_catalog(
+        ((lineno, str(obj["id"]), obj["label"], obj.get("description"), obj.get("aliases"))
+         for lineno, obj in read_jsonl(entity_file, ("id", "label"), offenders)),
+        str(entity_file), invalid)
     offenders += invalid
     invalid.clear()
-
-    predicates: dict[str, PredicateRecord] = {}
-    for lineno, obj in read_jsonl(predicate_file, ("id", "label"), offenders):
-        pid = str(obj["id"])
-        if not is_predicate_id(pid):
-            invalid.append((str(predicate_file), lineno, f"bad predicate id {pid!r}"))
-            continue
-        if pid in predicates:
-            invalid.append((str(predicate_file), lineno, f"duplicate predicate id {pid}"))
-            continue
-        if not str(obj["label"]):
-            invalid.append((str(predicate_file), lineno, "empty label"))
-            continue
-        predicates[pid] = PredicateRecord(id=pid, label=str(obj["label"]),
-                                          description=str(obj.get("description") or ""))
+    predicates = _predicate_catalog(
+        ((lineno, str(obj["id"]), obj["label"], obj.get("description"))
+         for lineno, obj in read_jsonl(predicate_file, ("id", "label"), offenders)),
+        str(predicate_file), invalid)
     offenders += invalid
 
     with open(triple_file, encoding="utf-8") as fh:
         return _build(_tsv_rows(fh, str(triple_file), offenders), str(triple_file),
                       entities, predicates, offenders, "snapshot load failed")
+
+
+def _entity_catalog(rows, source, offenders) -> dict[str, tuple]:
+    """id -> (id, label, description, aliases) of the (lineno, id, label,
+    description, aliases) ``rows`` that pass every check; each other row goes
+    to ``offenders`` with its first failed check, in row order. A None
+    description or aliases reads as absent."""
+    entities: dict[str, tuple] = {}
+    for lineno, eid, label, description, aliases in rows:
+        description = "" if description is None else description
+        aliases = () if aliases is None else aliases
+        if not is_entity_id(eid):
+            problem = f"bad entity id {eid!r}"
+        elif eid in entities:
+            problem = f"duplicate entity id {eid}"
+        elif not isinstance(label, str):
+            problem = "label must be a string"
+        elif not isinstance(description, str):
+            problem = "description must be a string"
+        elif not isinstance(aliases, (list, tuple)):
+            problem = "aliases must be an array"
+        elif not all(isinstance(alias, str) for alias in aliases):
+            problem = "aliases must be an array of strings"
+        else:
+            entities[eid] = (eid, label, description, tuple(aliases))
+            continue
+        offenders.append((source, lineno, problem))
+    return entities
+
+
+def _predicate_catalog(rows, source, offenders) -> dict[str, PredicateRecord]:
+    """id -> record of the (lineno, id, label, description) ``rows`` that
+    pass every check; each other row goes to ``offenders`` as in
+    ``_entity_catalog``."""
+    predicates: dict[str, PredicateRecord] = {}
+    for lineno, pid, label, description in rows:
+        description = "" if description is None else description
+        if not is_predicate_id(pid):
+            problem = f"bad predicate id {pid!r}"
+        elif pid in predicates:
+            problem = f"duplicate predicate id {pid}"
+        elif not isinstance(label, str):
+            problem = "label must be a string"
+        elif not label:
+            problem = "empty label"
+        elif not isinstance(description, str):
+            problem = "description must be a string"
+        else:
+            predicates[pid] = PredicateRecord(pid, label, description)
+            continue
+        offenders.append((source, lineno, problem))
+    return predicates
 
 
 def _tsv_rows(fh, path, offenders):
@@ -404,15 +600,16 @@ def _tsv_rows(fh, path, offenders):
 def snapshot_from_records(entity_records: Iterable[EntityRecord],
                           predicate_records: Iterable[PredicateRecord],
                           triples: Iterable[tuple]) -> Snapshot:
-    """Build a snapshot directly from records (programmatic construction);
-    an entity id ``load_snapshot`` would reject is a bad entity id here."""
-    offenders, entities = [], {}
-    for n, r in enumerate(entity_records, start=1):
-        if is_entity_id(r.id):
-            entities[r.id] = (r.id, r.label, r.description, r.aliases)
-        else:
-            offenders.append(("<entity records>", n, f"bad entity id {r.id!r}"))
-    predicates = {r.id: r for r in predicate_records}
+    """Build a snapshot directly from records (programmatic construction).
+    The records pass the checks ``load_snapshot`` holds catalog rows to, and
+    a failing record is reported by its position among the records."""
+    offenders = []
+    entities = _entity_catalog(
+        ((n, r.id, r.label, r.description, r.aliases)
+         for n, r in enumerate(entity_records, start=1)), "<entity records>", offenders)
+    predicates = _predicate_catalog(
+        ((n, r.id, r.label, r.description) for n, r in enumerate(predicate_records, start=1)),
+        "<predicate records>", offenders)
     return _build(enumerate((Triple(*t) for t in triples), start=1), "<records>",
                   entities, predicates, offenders, "snapshot construction failed")
 
@@ -420,7 +617,7 @@ def snapshot_from_records(entity_records: Iterable[EntityRecord],
 def _build(rows, source, entities: dict[str, tuple],
            predicates: dict[str, PredicateRecord], offenders, failure) -> Snapshot:
     """Validate (lineno, (s, p, o)) rows into integer columns in one pass,
-    dedupe them and index each position, then build each entity's record.
+    dedupe them and index each position, then keep the catalog as columns.
 
     ``entities`` maps entity-shaped ids to (id, label, description, aliases).
     An object in ``entities`` is an entity, any other Q-shaped object an
@@ -461,24 +658,23 @@ def _build(rows, source, entities: dict[str, tuple],
     keep = _first_occurrences(s, p, o)
     s, p, o = s[keep], p[keep], o[keep]
     degrees = _degrees(s, p, o, n_entities, len(predicate_ids))
-    return _assemble((s, p, o), degrees, entities, predicates,
-                     (entity_ids, predicate_ids, entity_ids), literal_ids)
+    catalog = EntityCatalog.of(entities.values(), entity_ids, degrees)
+    return _assemble((s, p, o), catalog, predicates, predicate_ids, literal_ids)
 
 
-def _assemble(columns, degrees, entities, predicates, key_ids, literal_ids) -> Snapshot:
+def _assemble(columns, entities: EntityCatalog, predicates, predicate_ids,
+              literal_ids) -> Snapshot:
     """The snapshot of deduplicated (s, p, o) id columns.
 
-    ``entities`` maps ids to (id, label, description, aliases), ``degrees``
-    follows its order, and ``key_ids`` holds the subject, predicate and
-    object id of each catalog id; literals have ids from ``len(entities)``.
+    Subjects and entity objects have the ids of their positions in
+    ``entities``, predicates the ids in ``predicate_ids``, and literals the
+    ids in ``literal_ids``, from ``len(entities)``.
     """
-    records = {e: EntityRecord(*fields, degree=degree)
-               for (e, fields), degree in zip(entities.items(), degrees.tolist())}
-    terms = [*map(itemgetter(0), entities.values()), *literal_ids]
-    table = TripleTable(columns, terms, [r.id for r in predicates.values()], key_ids,
-                        literal_ids)
+    terms = [*entities.ids, *literal_ids]
+    key_ids = (entities._rows, predicate_ids, entities._rows)
+    table = TripleTable(columns, terms, list(predicates), key_ids, literal_ids)
     return Snapshot(
-        entities=records,
+        entities=entities,
         predicates=predicates,
         triples=table,
         profiles=_Profiles(table),
@@ -504,50 +700,56 @@ _STRINGS = (*(f"entity_{f}" for f in _FIELDS), "entity_aliases",
 
 def _entry(snapshot: Snapshot) -> dict:
     """The cache entry of a snapshot: its columns, degrees and strings."""
-    table = snapshot.triples
-    records = list(snapshot.entities.values())
+    table, entities = snapshot.triples, snapshot.entities
     predicates = list(snapshot.predicates.values())
     arrays = dict(zip("spo", table._columns))
-    arrays["degrees"] = np.array([r.degree for r in records], dtype=np.int64)
-    arrays["alias_counts"] = np.array([len(r.aliases) for r in records], dtype=np.int64)
-    columns = {f"entity_{f}": map(attrgetter(f), records) for f in _FIELDS}
-    columns["entity_aliases"] = chain.from_iterable(r.aliases for r in records)
-    columns.update((f"predicate_{f}", map(attrgetter(f), predicates)) for f in _FIELDS)
-    columns["literals"] = table._terms[len(records):]
-    for name, strings in columns.items():
-        arrays[name], arrays[name + "_ends"] = cache.pack_strings(strings)
+    arrays["degrees"] = entities.degrees.astype(np.int64)
+    arrays["alias_counts"] = np.diff(np.frombuffer(entities._alias_bounds, dtype=np.int64))
+    arrays["id_order"] = entities.id_order()
+    packed = {"entity_id": cache.pack_strings(entities.ids),
+              "entity_label": entities._labels.packed(),
+              "entity_description": entities._descriptions.packed(),
+              "entity_aliases": entities._aliases.packed(),
+              "literals": cache.pack_strings(table._terms[len(entities):])}
+    packed.update((f"predicate_{f}", cache.pack_strings(map(attrgetter(f), predicates)))
+                  for f in _FIELDS)
+    for name, (blob, ends) in packed.items():
+        arrays[name], arrays[name + "_ends"] = blob, ends
     return arrays
 
 
 def _from_entry(arrays) -> Snapshot:
-    """The snapshot from the arrays ``_entry`` wrote; ValueError if they disagree."""
-    # Each blob is dropped once decoded.
-    strings = {name: cache.unpack_strings(arrays.pop(name), arrays.pop(name + "_ends"))
-               for name in _STRINGS}
-    ids, labels, descriptions = (strings[f"entity_{f}"] for f in _FIELDS)
-    pids, plabels, pdescriptions = (strings[f"predicate_{f}"] for f in _FIELDS)
-    s, p, o, degrees, alias_counts = (arrays[name] for name in
-                                      ("s", "p", "o", "degrees", "alias_counts"))
+    """The snapshot from the arrays ``_entry`` wrote; ValueError if they
+    disagree. Ids and literals are decoded into strings; the other entity
+    texts stay packed, one string each."""
+    ids, pids, plabels, pdescriptions, literals = (
+        cache.unpack_strings(arrays.pop(name), arrays.pop(name + "_ends"))
+        for name in ("entity_id", "predicate_id", "predicate_label", "predicate_description",
+                     "literals"))
+    labels, descriptions, aliases = (
+        _Texts.unpacked(arrays.pop(name), arrays.pop(name + "_ends"))
+        for name in ("entity_label", "entity_description", "entity_aliases"))
+    s, p, o, degrees, alias_counts, id_order = (
+        arrays[name] for name in ("s", "p", "o", "degrees", "alias_counts", "id_order"))
     n, m = len(ids), len(pids)
-    n_terms = n + len(strings["literals"])
+    n_terms = n + len(literals)
     if (not len(labels) == len(descriptions) == len(degrees) == len(alias_counts) == n
             or not len(plabels) == len(pdescriptions) == m
-            or (alias_counts < 0).any() or alias_counts.sum() != len(strings["entity_aliases"])
+            or (alias_counts < 0).any() or alias_counts.sum() != len(aliases)
             or not len(s) == len(p) == len(o) or {s.dtype, p.dtype, o.dtype} != {_INTC}
-            or not (_within(s, n) and _within(p, m) and _within(o, n_terms))):
+            or not (_within(s, n) and _within(p, m) and _within(o, n_terms))
+            or id_order.dtype != _INTC or len(id_order) != n or not _within(id_order, n)
+            or (np.bincount(id_order, minlength=n) != 1).any()):
         raise ValueError("snapshot entry arrays disagree")
-    bounds = alias_counts.cumsum().tolist()
-    aliases = map(tuple, map(strings["entity_aliases"].__getitem__,
-                             map(slice, [0, *bounds], bounds)))
-    entities = dict(zip(ids, zip(ids, labels, descriptions, aliases)))
+    entity_ids = dict(zip(ids, range(n)))
     predicates = {pid: PredicateRecord(pid, label, description)
                   for pid, label, description in zip(pids, plabels, pdescriptions)}
-    if len(entities) != n or len(predicates) != m:
+    if len(entity_ids) != n or len(predicates) != m:
         raise ValueError("snapshot entry repeats an id")
-    entity_ids = dict(zip(entities, range(n)))
-    literal_ids = dict(zip(strings["literals"], range(n, n_terms)))
-    return _assemble((s, p, o), degrees, entities, predicates,
-                     (entity_ids, dict(zip(predicates, range(m))), entity_ids), literal_ids)
+    entities = EntityCatalog(ids, entity_ids, labels, descriptions, aliases,
+                             _bounds(alias_counts.cumsum()), degrees, id_order)
+    return _assemble((s, p, o), entities, predicates, dict(zip(predicates, range(m))),
+                     dict(zip(literals, range(n, n_terms))))
 
 
 def _first_occurrences(*columns):
@@ -607,5 +809,7 @@ def prune_by_degree(snapshot: Snapshot, min_degree: int = 10) -> set[str]:
     """Entity ids whose degree (distinct predicates, both directions) is >= min_degree."""
     if min_degree < 0:
         raise ValueError("min_degree must be >= 0")
-    return {e for e, rec in snapshot.entities.items() if rec.degree >= min_degree}
+    entities = snapshot.entities
+    return set(map(entities.ids.__getitem__,
+                   np.flatnonzero(entities.degrees >= min_degree).tolist()))
 

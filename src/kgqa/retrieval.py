@@ -18,11 +18,16 @@ meets the term under a ``(k1, b)`` and kept, so a later search adds them
 with one gather, add and scatter.
 
 An index over document texts indexed before loads its term ids and
-postings from a ``kgqa.cache`` entry instead of tokenizing. The entry's key
-holds the texts in id order and the tokenizer pattern. Bump
-``INDEX_FORMAT`` when the entry's arrays or their meaning change, or when
-the same texts and pattern would give other postings (the lowercasing, the
-term id order, the idf formula).
+postings from a ``kgqa.cache`` entry instead of tokenizing. An entity index
+over a loaded snapshot's catalog (``snapshot.entities.values()``, see
+``kgstore.EntityCatalog``) is keyed by the catalog's ``content_key``, the
+kind, the rows it keeps in id order and the tokenizer pattern, and reads
+its ids and records through the catalog's columns: a warm build renders no
+document text and builds no record. Any other records are keyed by their
+texts in id order and the tokenizer pattern. Bump ``INDEX_FORMAT`` when the
+entry's arrays or their meaning change, or when the same key would give
+other postings (``_document_text``, the lowercasing, the term id order, the
+idf formula).
 """
 
 import copy
@@ -33,14 +38,15 @@ import re
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, islice, starmap
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
 
 from kgqa import cache
 from kgqa.errors import DataError, IndexBuildError
-from kgqa.kgstore import EntityRecord
+from kgqa.kgstore import EntityCatalog, EntityRecord, EntityValues
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Documents per block of an index build; a block's new term ids are assigned
@@ -51,7 +57,7 @@ _BLOCK_DOCS = 256
 _ARRAYS = {"offsets": np.dtype(np.int64), "docs": np.dtype(np.int32),
            "tfs": np.dtype(np.float64), "doc_len": np.dtype(np.int32),
            "idf": np.dtype(np.float64)}
-INDEX_FORMAT = 1  # version of the cache entry; see the module docstring
+INDEX_FORMAT = 2  # version of the cache entry; see the module docstring
 
 
 def tokenize(text: str) -> list[str]:
@@ -136,12 +142,16 @@ class CandidateSet:
         return [h[0] for h in self.hits]
 
 
-def _document_text(record) -> str:
-    parts = [record.label, record.description]
-    aliases = getattr(record, "aliases", ())
+def _text(label: str, description: str, aliases=()) -> str:
+    """The document text of a catalog entry."""
+    parts = [label, description]
     if aliases:
         parts.append(" ".join(aliases))
     return " ".join(parts)
+
+
+def _document_text(record) -> str:
+    return _text(record.label, record.description, getattr(record, "aliases", ()))
 
 
 def _postings(terms: array, doc_len: array, n_terms: int):
@@ -160,31 +170,32 @@ def _postings(terms: array, doc_len: array, n_terms: int):
             (keys % n).astype(np.int32, copy=False), counts.astype(np.float64))
 
 
-def _text_blocks(records):
-    """The document texts of ``records``, in blocks of ``_BLOCK_DOCS``."""
-    for start in range(0, len(records), _BLOCK_DOCS):
-        yield [_document_text(rec) for rec in records[start:start + _BLOCK_DOCS]]
+def _blocks(texts):
+    """Lists of up to ``_BLOCK_DOCS`` of ``texts``, in order."""
+    texts = iter(texts)
+    while block := list(islice(texts, _BLOCK_DOCS)):
+        yield block
 
 
 def _key(records) -> str:
     """Cache key of an index over ``records``: the tokenizer pattern, and
     the length of every document text and all the text, in order."""
     lengths, text = hashlib.blake2b(), hashlib.blake2b()
-    for block in _text_blocks(records):
+    for block in _blocks(map(_document_text, records)):
         lengths.update(array("q", map(len, block)))
         text.update("".join(block).encode("utf-8", "surrogatepass"))
     return cache.digest(_TOKEN_RE.pattern.encode(), lengths.digest(), text.digest())
 
 
-def _tokenized(records):
-    """``(term_ids, arrays)`` of an index over ``records``: term ids in order
-    of first occurrence and the ``_ARRAYS``, tokenizing each text once."""
-    n = len(records)
+def _tokenized(texts, n):
+    """``(term_ids, arrays)`` of an index over ``n`` document ``texts``:
+    term ids in order of first occurrence and the ``_ARRAYS``, tokenizing
+    each text once."""
     term_ids: dict[str, int] = {}
     terms = array("i")  # the term id of every token, documents in order
     doc_len = array("i")
-    for texts in _text_blocks(records):
-        block = [tokenize(text) for text in texts]
+    for block in _blocks(texts):
+        block = [tokenize(text) for text in block]
         doc_len.extend(map(len, block))
         tokens = list(chain.from_iterable(block))
         # Ids in order of first occurrence, as a per-document pass gives.
@@ -230,24 +241,55 @@ class Bm25Index:
     on ``(k1, b)``; ``with_params`` recomputes ``norm`` and starts with no
     kept contributions.
 
-    Everything else depends only on the document texts in id order, which
-    key its cache entry.
+    Everything else depends only on the document texts in id order. An
+    entity index over a loaded snapshot's catalog keys its cache entry by
+    ``cache.digest(content_key, b"entity", rows, pattern)``: the catalog's
+    ``content_key`` (the snapshot's format and input digest), the catalog
+    rows it keeps in id order, and the tokenizer pattern. Its ``doc_ids``
+    come from the catalog's id order and its ``by_id`` is a read-only
+    mapping over the kept rows that reads records through the catalog. Any
+    other index keys its entry by its texts (``_key``) and holds a dict of
+    its records in ``by_id``.
     """
 
     def __init__(self, records: Sequence, params: Bm25Params, kind: str):
         if not records:
             raise IndexBuildError("cannot build an index over an empty catalog")
-        self.params = params
-        self.kind = kind
-        records = sorted(records, key=lambda r: r.id)
+        records = sorted(records, key=attrgetter("id"))
         self.by_id = {r.id: r for r in records}
         self.doc_ids = [r.id for r in records]
+        self._load(params, kind, _key(records), map(_document_text, records))
 
-        n = len(records)
-        key = _key(records)
+    @classmethod
+    def _over_catalog(cls, entities: EntityCatalog, params: Bm25Params,
+                      pruned_ids: Optional[set[str]]) -> "Bm25Index":
+        """An entity index over a loaded snapshot's catalog, read through
+        its columns: ids and the id order come from the catalog, records are
+        built only when ``by_id`` is read, and texts only on a cache miss."""
+        rows = entities.id_order()
+        if pruned_ids is not None:
+            kept = np.fromiter(map(pruned_ids.__contains__, entities.ids), dtype=bool,
+                               count=len(entities))
+            rows = rows[kept[rows]]
+        if not len(rows):
+            raise IndexBuildError("catalog is empty after pruning")
+        index = cls.__new__(cls)
+        index.doc_ids = list(map(entities.ids.__getitem__, rows.tolist()))
+        index.by_id = entities.subset(rows, index.doc_ids)
+        key = cache.digest(entities.content_key.encode(), b"entity", rows,
+                           _TOKEN_RE.pattern.encode())
+        index._load(params, "entity", key, starmap(_text, map(entities.fields, rows.tolist())))
+        return index
+
+    def _load(self, params: Bm25Params, kind: str, key: str, texts: Iterable[str]):
+        """Term ids and postings from the cache entry ``key``, or from
+        tokenizing ``texts``, the documents in ``doc_ids`` order, on a miss."""
+        self.params = params
+        self.kind = kind
+        n = len(self.doc_ids)
         built = cache.load("bm25", INDEX_FORMAT, key, lambda arrays: _from_entry(arrays, n))
         if built is None:
-            built = _tokenized(records)
+            built = _tokenized(texts, n)
             cache.store("bm25", INDEX_FORMAT, key, _entry(*built))
         self.term_ids, arrays = built
         self.offsets, self.docs, self.tfs, self.doc_len, self.idf = (
@@ -288,6 +330,10 @@ class Bm25Index:
     @classmethod
     def build(cls, catalog: Iterable, params: Bm25Params,
               pruned_ids: Optional[set[str]] = None) -> "Bm25Index":
+        """An index over the records of ``catalog``, only those with an id in
+        ``pruned_ids`` when it is given."""
+        if isinstance(catalog, EntityValues) and catalog.mapping.content_key is not None:
+            return cls._over_catalog(catalog.mapping, params, pruned_ids)
         records = list(catalog)
         if pruned_ids is not None:
             records = [r for r in records if r.id in pruned_ids]

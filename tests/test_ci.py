@@ -120,3 +120,16 @@ def test_traced_join_workload_must_report_correct_and_no_failures():
     _assert_benchmark_step("Untraced and traced runners agree on qa-join",
                            ["--workload", "qa-join", "--seed", "1",
                             "--seconds", "3", "--trace", "1"])
+
+
+def test_cold_and_warm_processes_are_compared_on_a_pruned_generated_graph():
+    """tools/coldstart.py runs a cold and a warm ``kgqa evaluate`` process
+    over a generated qa-join graph pruned at min_degree 10, and exits 1 when
+    their outputs differ; each process gets a cache directory of its own."""
+    step = _step("Cold and warm processes agree on a pruned qa-join graph")
+    assert re.search(r"^\s*shell:\s*bash\s*$", step, re.M)
+    commands = [line.strip() for line in step.splitlines() if line.strip().startswith("python3")]
+    assert commands == [
+        'python3 perfbench/gen.py --workload qa-join --seed 1 --out "$RUNNER_TEMP/qa-join-data"',
+        'python3 tools/coldstart.py --data "$RUNNER_TEMP/qa-join-data" --min-degree 10 --runs 1',
+    ]

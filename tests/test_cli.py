@@ -3,7 +3,10 @@
 import csv
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from click.testing import CliRunner
 from kgqa.cli import _parse_grid, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -421,3 +425,42 @@ class TestDeterminism:
                 "--seed", "11", "--out", str(out))
             blobs.append((out / "train_augmented.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestImports:
+    """``requests`` is imported only when a remote client is built."""
+
+    CHILD = """
+import runpy, sys
+sys.argv = ["kgqa", *sys.argv[1:]]
+try:
+    runpy.run_module("kgqa.cli", run_name="__main__")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print("requests" in sys.modules)
+"""
+
+    @staticmethod
+    def imports_requests(tmp_path, code, *args):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()[-1]
+
+    def test_importing_the_cli_leaves_requests_out(self, tmp_path):
+        code = "import sys, kgqa.cli; print('requests' in sys.modules)"
+        assert self.imports_requests(tmp_path, code) == "False"
+
+    def test_local_evaluate_leaves_requests_out(self, tmp_path):
+        out = tmp_path / "out"
+        assert self.imports_requests(tmp_path, self.CHILD, "evaluate", "--toy",
+                                     "--out", str(out)) == "False"
+        assert (out / "report.csv").is_file()
+
+    def test_building_a_remote_client_imports_requests(self, tmp_path):
+        code = ("import sys, kgqa.cli\n"
+                "from kgqa.sparql import EndpointConfig, RemoteExecutor\n"
+                "RemoteExecutor(EndpointConfig('http://127.0.0.1:9'))\n"
+                "print('requests' in sys.modules)")
+        assert self.imports_requests(tmp_path, code) == "True"

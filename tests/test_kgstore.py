@@ -95,6 +95,48 @@ class TestLoadSnapshot:
         assert err.value.offenders == [(str(files[0]), 1, "aliases must be an array"),
                                        (str(files[0]), 3, "aliases must be an array")]
 
+    def test_catalog_fields_must_have_their_types(self, snapshot_files):
+        files = snapshot_files(
+            [], [], [],
+            entity_lines=['{"id": "Q1", "label": null}',
+                          '{"id": "Q2", "label": "b", "aliases": [null, 3]}',
+                          '{"id": "Q3", "label": 7, "description": 8}',
+                          '{"id": "Q4", "label": "d", "description": ["x"]}',
+                          "{bad",
+                          '{"id": "Q5", "label": "e", "aliases": ["x", {}]}',
+                          '{"id": "Q6", "label": "f", "aliases": ""}',
+                          '{"id": "Q7", "label": "", "description": null, "aliases": null}'])
+        files[1].write_text('{"id": "P1", "label": null}\n{"id": "P2", "label": ""}\n'
+                            '{"id": "P3", "label": "c", "description": 3}\n'
+                            '{"id": "P4", "label": "d", "description": null}\n',
+                            encoding="utf-8")
+        with pytest.raises(LoadError) as err:
+            load_snapshot(*files)
+        entity_file, predicate_file = map(str, files[:2])
+        assert err.value.offenders[:10] == [
+            (entity_file, 5, "invalid JSON: Expecting property name enclosed in double quotes"),
+            (entity_file, 1, "label must be a string"),
+            (entity_file, 2, "aliases must be an array of strings"),
+            (entity_file, 3, "label must be a string"),
+            (entity_file, 4, "description must be a string"),
+            (entity_file, 6, "aliases must be an array of strings"),
+            (entity_file, 7, "aliases must be an array"),
+            (predicate_file, 1, "label must be a string"),
+            (predicate_file, 2, "empty label"),
+            (predicate_file, 3, "description must be a string"),
+        ]
+        assert err.value.total == 10
+
+    def test_null_description_and_aliases_read_as_absent(self, snapshot_files):
+        files = snapshot_files(
+            [], [], [],
+            entity_lines=['{"id": "Q1", "label": "", "description": null, "aliases": null}'])
+        files[1].write_text('{"id": "P1", "label": "r", "description": null}\n',
+                            encoding="utf-8")
+        snap = load_snapshot(*files)
+        assert snap.entities["Q1"] == EntityRecord("Q1", "", "", ())
+        assert snap.predicates["P1"] == PredicateRecord("P1", "r", "")
+
     def test_duplicate_predicate_id(self, snapshot_files):
         files = snapshot_files([("Q1", "one")], [], [])
         files[1].write_text('{"id": "P1", "label": "a"}\n{"id": "P2", "label": "b"}\n'
@@ -374,6 +416,82 @@ class TestLoaderEquivalence:
         assert ([(n, msg) for _, n, msg in built.value.offenders]
                 == [(n, msg) for _, n, msg in loaded.value.offenders])
 
+    def test_records_are_held_to_the_file_rules(self, snapshot_files):
+        rows = ([EntityRecord("Q1", "a"), EntityRecord("Q1", "b")],
+                [PredicateRecord("X9", "r"), PredicateRecord("X9", "s")], [("Q1", "X9", "Q1")])
+        with pytest.raises(LoadError) as built:
+            snapshot_from_records(*rows)
+        with pytest.raises(LoadError) as loaded:
+            load_snapshot(*write_rows(snapshot_files, *rows))
+        assert built.value.offenders == [
+            ("<entity records>", 2, "duplicate entity id Q1"),
+            ("<predicate records>", 1, "bad predicate id 'X9'"),
+            ("<predicate records>", 2, "bad predicate id 'X9'"),
+            ("<records>", 1, "unknown predicate X9")]
+        assert ([(n, msg) for _, n, msg in built.value.offenders]
+                == [(n, msg) for _, n, msg in loaded.value.offenders])
+
+    def test_malformed_catalog_rows_give_the_same_offenders(self, snapshot_files):
+        """Records and the same rows written as files are held to one set of
+        rules: the same offenders, with the same text, in the same order."""
+        rng = random.Random(13)
+        values = {"id": ["Q1", "Q2", "Q2", "X1", "P1", "P2", "P2", "Q3x"],
+                  "label": ["a", "b", "", None, 5, ["x"]],
+                  "description": ["", "d", None, 3, ["d"]],
+                  "aliases": [(), ("x",), None, ("x", None), ("", "y"), "b", 0]}
+        failed = 0
+        for _ in range(150):
+            entities = [EntityRecord(*(rng.choice(values[f]) for f in
+                                       ("id", "label", "description", "aliases")))
+                        for _ in range(rng.randint(0, 4))]
+            predicates = [PredicateRecord(*(rng.choice(values[f]) for f in
+                                            ("id", "label", "description")))
+                          for _ in range(rng.randint(0, 3))]
+            triples = [("Q1", "P1", "Q2"), ("Q2", "P2", "lit")][:rng.randint(0, 2)]
+            files = snapshot_files(
+                [], [], triples,
+                entity_lines=[json.dumps({"id": e.id, "label": e.label,
+                                          "description": e.description,
+                                          "aliases": e.aliases}) for e in entities])
+            files[1].write_text("".join(json.dumps({"id": p.id, "label": p.label,
+                                                    "description": p.description}) + "\n"
+                                        for p in predicates), encoding="utf-8")
+            try:
+                built = snapshot_from_records(entities, predicates, triples)
+            except LoadError as err:
+                failed += 1
+                with pytest.raises(LoadError) as loaded:
+                    load_snapshot(*files)
+                sources = {str(files[0]): "<entity records>",
+                           str(files[1]): "<predicate records>", str(files[2]): "<records>"}
+                assert err.offenders == [(sources[path], n, msg)
+                                         for path, n, msg in loaded.value.offenders]
+                assert err.total == loaded.value.total
+            else:
+                assert_same_snapshot(built, load_snapshot(*files))
+        assert 100 < failed < 150
+
+    def test_catalog_order_and_records_agree(self, snapshot_files):
+        rng = random.Random(19)
+        for _ in range(20):
+            entities, predicates, triples = random_rows(rng)
+            rng.shuffle(entities)
+            loaded = load_snapshot(*write_rows(snapshot_files, entities, predicates, triples))
+            built = snapshot_from_records(entities, predicates, triples)
+            ids = [e.id for e in entities]
+            for snap in (loaded, built):
+                assert list(snap.entities) == list(snap.entities.keys()) == ids
+                assert [r.id for r in snap.entities.values()] == ids
+                assert len(snap.entities) == len(ids)
+                for e in entities:
+                    degree = len(set.union(*brute_force_profile(triples, e.id)))
+                    assert snap.entities[e.id] == EntityRecord(e.id, e.label, e.description,
+                                                               e.aliases, degree)
+                    assert snap.entities.get(e.id) is snap.entities[e.id]
+                assert "Q404" not in snap.entities and snap.entities.get("Q404") is None
+                with pytest.raises(KeyError):
+                    snap.entities["Q404"]
+
     def test_self_loops_beside_outgoing_triples(self, snapshot_files):
         # Q1's self-loop on P1 shares P1 with an outgoing triple; its P2
         # self-loop has no outgoing twin; Q2's P3 self-loop is duplicated.
@@ -478,10 +596,13 @@ class TestBuiltOnFirstUse:
         keys = [("s", e) for e in snap.entities] + [("p", p) for p in snap.predicates]
         keys += [("o", o) for o in dict.fromkeys(t.object for t in reference.triples)]
         keys += [("profile", e) for e in snap.entities]
+        keys += [("entity", e) for e in snap.entities]
 
         def read(target, kind, key):
             if kind == "profile":
                 return target.profiles[key]
+            if kind == "entity":
+                return target.entities[key]
             return target.match(**{kind: key})
 
         expected = [read(reference, *key) for key in keys]
@@ -511,7 +632,8 @@ class TestBuiltOnFirstUse:
         assert not any(t.is_alive() for t in threads)
         for got in results:
             assert got == expected
-            # Every thread got the kept profiles and one Triple object per row.
+            # Every thread got the kept profiles and records and one Triple
+            # object per row.
             for a, b in zip(got, results[0]):
                 assert all(x is y for x, y in zip(a, b)) if isinstance(a, tuple) else a is b
         assert_pools(snap, list(reference.triples), random.Random(round_))
@@ -537,6 +659,10 @@ def assert_holds_catalog_id_strings(snap):
         assert t.object not in entity_keys or t.object is entity_keys[t.object]
     assert all(rec.id is k for k, rec in snap.entities.items())
     assert all(rec.id is k for k, rec in snap.predicates.items())
+
+
+def count_records():
+    return sum(type(o) is EntityRecord for o in gc.get_objects())
 
 
 def damage_entry(path, how):
@@ -566,6 +692,10 @@ def damage_entry(path, how):
         arrays["entity_id"], arrays["entity_id_ends"] = packed
     elif how == "missing-array":
         del arrays["literals"]
+    elif how == "id-order-repeats":
+        arrays["id_order"] = np.zeros_like(arrays["id_order"])
+    elif how == "id-order-wide":
+        arrays["id_order"] = arrays["id_order"].astype(np.int64)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -605,6 +735,39 @@ class TestSnapshotCache:
             assert_holds_catalog_id_strings(warm)
             assert_profile_sets_shared(warm)
 
+    def test_warm_records_equal_parsed_records_in_catalog_order(self, snapshot_files,
+                                                                empty_cache, monkeypatch):
+        rng = random.Random(37)
+        for _ in range(20):
+            entities, predicates, triples = random_rows(rng)
+            rng.shuffle(entities)
+            files = write_rows(snapshot_files, entities, predicates, triples)
+            text = load_snapshot(*files)
+            warm = warm_load(files, monkeypatch)
+            assert list(warm.entities) == [e.id for e in entities]
+            for e in entities:
+                assert warm.entities[e.id] == text.entities[e.id]
+                assert warm.entities[e.id].degree == text.entities[e.id].degree
+            assert list(warm.entities.values()) == list(text.entities.values())
+            assert warm.entities.content_key == text.entities.content_key is not None
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["parsed", "warm"])
+    def test_records_are_built_on_first_lookup(self, snapshot_files, empty_cache,
+                                               monkeypatch, warm):
+        entities, predicates, triples = random_rows(random.Random(41))
+        files = write_rows(snapshot_files, entities, predicates, triples)
+        if warm:
+            load_snapshot(*files)
+        before = count_records()
+        snap = warm_load(files, monkeypatch) if warm else load_snapshot(*files)
+        prune_by_degree(snap, 1)
+        assert count_records() == before
+        first = snap.entities["Q1"]
+        assert count_records() == before + 1
+        assert snap.entities["Q1"] is first and snap.entities.get("Q1") is first
+        assert next(iter(snap.entities.values())) is first
+        assert count_records() == before + 1
+
     def test_unusual_strings_round_trip(self, snapshot_files, empty_cache, monkeypatch):
         entities = [("Q1", "", "", []),
                     ("Q2", "Zürich 東京", "naïve\x00desc", ["", "a\x00b", "é", "😀"]),
@@ -627,7 +790,7 @@ class TestSnapshotCache:
     @pytest.mark.parametrize("how", ["truncated", "wrong-version", "wrong-key",
                                      "short-degrees", "short-column", "object-out-of-range",
                                      "alias-counts", "short-labels", "repeated-id",
-                                     "missing-array"])
+                                     "missing-array", "id-order-repeats", "id-order-wide"])
     def test_damaged_entry_falls_back_and_is_rewritten(self, snapshot_files, empty_cache,
                                                        monkeypatch, how):
         rows = random_rows(random.Random(29))

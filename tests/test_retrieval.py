@@ -1,5 +1,6 @@
 """BM25 indexing, search, reparametrized views, recall, sweeps and presets."""
 
+import gc
 import json
 import math
 import pickle
@@ -9,9 +10,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgqa import retrieval
+from kgqa import kgstore, retrieval
 from kgqa.errors import DataError, IndexBuildError
-from kgqa.kgstore import EntityRecord, PredicateRecord
+from kgqa.kgstore import EntityRecord, PredicateRecord, load_snapshot, prune_by_degree
 from kgqa.retrieval import (
     Bm25Index,
     Bm25Params,
@@ -345,6 +346,10 @@ class TestBuild:
 INDEX_ARRAYS = ("offsets", "docs", "tfs", "doc_len", "idf", "norm")
 
 
+def no_parse(*args):
+    raise AssertionError("parsed the text files")
+
+
 def no_tokenize(text):
     raise AssertionError("tokenized a document")
 
@@ -462,6 +467,117 @@ class TestIndexCache:
         assert list(after.term_ids) == ["alpha", "beta", "gammb"]
         assert list(before.term_ids) == ["alpha", "beta", "gamma"]
         assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
+
+
+def hub_graph_files(snapshot_files, rng):
+    """Snapshot files of 60 entities whose labels share a small vocabulary
+    (so searches tie), listed out of id order; the first ten are hubs with
+    degree 10 or more."""
+    words = ["alpha", "beta", "gamma", "delta", "café", "naïve", "日本", "x1"]
+    ids = [f"Q{i}" for i in range(1, 61)]
+    entities = [(eid, " ".join(rng.choices(words, k=rng.randint(1, 3))),
+                 rng.choice(["", "beta gamma", "the delta"]),
+                 rng.choice([[], ["alpha"], ["x1 beta", "gamma"]]))
+                for eid in rng.sample(ids, len(ids))]
+    predicates = [(f"P{i}", f"rel{i}") for i in range(1, 15)]
+    triples = [(f"Q{h}", f"P{p}", rng.choice(ids + ["lit"]))
+               for h in range(1, 11) for p in range(1, rng.randint(11, 15))]
+    triples += [(rng.choice(ids), rng.choice(predicates)[0], rng.choice(ids))
+                for _ in range(80)]
+    return snapshot_files(entities, predicates, triples)
+
+
+def count_records():
+    return sum(type(o) is EntityRecord for o in gc.get_objects())
+
+
+class TestIndexOverCatalog:
+    """An entity index over a loaded snapshot's catalog reads ids and records
+    through its columns and equals an index over the same records."""
+
+    QUERIES = ["alpha", "beta gamma", "café naïve 日本", "delta x1 alpha", "oov", "the"]
+
+    @pytest.mark.parametrize("min_degree", [None, 10])
+    def test_equals_an_index_over_the_records(self, snapshot_files, empty_cache,
+                                              monkeypatch, min_degree):
+        files = hub_graph_files(snapshot_files, random.Random(53))
+        load_snapshot(*files)
+        with monkeypatch.context() as m:
+            m.setattr(kgstore, "_parse", no_parse)
+            snap = load_snapshot(*files)
+        pruned = None if min_degree is None else prune_by_degree(snap, min_degree)
+        assert pruned is None or 10 <= len(pruned) < len(snap.entities)
+        params = Bm25Params(1.5, 0.75)
+        columns = Bm25Index.build(snap.entities.values(), params, pruned_ids=pruned)
+        records = Bm25Index.build(list(snap.entities.values()), params, pruned_ids=pruned)
+        assert isinstance(records.by_id, dict) and not isinstance(columns.by_id, dict)
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
+        assert_same_index(columns, records, self.QUERIES)
+        for query in self.QUERIES:
+            a, b = columns.search(query, 100), records.search(query, 100)
+            assert a.ids() == b.ids() and a.hits._scores.tobytes() == b.hits._scores.tobytes()
+        assert list(columns.by_id.items()) == list(records.by_id.items())
+        assert len(columns.by_id) == len(records.by_id) == len(columns.doc_ids)
+        for eid in snap.entities:
+            assert (eid in columns.by_id) == (eid in records.by_id)
+            if eid in records.by_id:
+                assert columns.by_id[eid] is snap.entities[eid]
+            else:
+                assert columns.by_id.get(eid) is None
+                with pytest.raises(KeyError):
+                    columns.by_id[eid]
+        assert "P1" not in columns.by_id and "Q404" not in columns.by_id
+
+    def test_warm_builds_make_no_record_and_render_no_entity_text(self, snapshot_files,
+                                                                 empty_cache, monkeypatch):
+        files = hub_graph_files(snapshot_files, random.Random(59))
+        params = Bm25Params(1.2, 0.75)
+        cold = load_snapshot(*files)
+        for pruned in (None, prune_by_degree(cold, 10)):
+            Bm25Index.build(cold.entities.values(), params, pruned_ids=pruned)
+        Bm25Index.build(cold.predicates.values(), params)
+        rendered = Counter()
+        real_text = retrieval._text
+        before = count_records()
+        with monkeypatch.context() as m:
+            m.setattr(kgstore, "_parse", no_parse)
+            m.setattr(retrieval, "tokenize", no_tokenize)
+            m.setattr(retrieval, "_text", lambda *f: rendered.update([f[0]]) or real_text(*f))
+            snap = load_snapshot(*files)
+            indexes = [Bm25Index.build(snap.entities.values(), params,
+                                       pruned_ids=prune_by_degree(snap, 10)),
+                       Bm25Index.build(snap.entities.values(), params),
+                       Bm25Index.build(snap.predicates.values(), params)]
+        assert count_records() == before
+        # Only the predicate index, over plain records, renders its texts to key them.
+        assert rendered == Counter(p.label for p in snap.predicates.values())
+        assert indexes[0].search("alpha", 5).ids() == \
+            Bm25Index.build(list(cold.entities.values()), params,
+                            pruned_ids=prune_by_degree(cold, 10)).search("alpha", 5).ids()
+
+    def test_key_follows_the_kept_rows_and_the_files(self, snapshot_files, empty_cache):
+        files = hub_graph_files(snapshot_files, random.Random(61))
+        params = Bm25Params(1.2, 0.75)
+        snap = load_snapshot(*files)
+        for pruned in (None, prune_by_degree(snap, 10), prune_by_degree(snap, 10),
+                       set(list(snap.entities)[:5]), set(snap.entities)):
+            Bm25Index.build(snap.entities.values(), params, pruned_ids=pruned)
+        # All ids and no pruning keep the same rows, so they share an entry.
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == 3
+        data = files[0].read_text(encoding="utf-8")
+        files[0].write_text(data.replace("alpha", "omega"), encoding="utf-8")
+        changed = load_snapshot(*files)
+        index = Bm25Index.build(changed.entities.values(), params)
+        assert "omega" in index.term_ids and "alpha" not in index.term_ids
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == 4
+
+    def test_catalog_without_content_key_takes_the_record_path(self, snapshot_files,
+                                                               empty_cache, monkeypatch):
+        files = hub_graph_files(snapshot_files, random.Random(67))
+        snap = load_snapshot(*files)
+        monkeypatch.setattr(snap.entities, "content_key", None)
+        index = Bm25Index.build(snap.entities.values(), Bm25Params(1.2, 0.75))
+        assert isinstance(index.by_id, dict) and index.by_id == dict(snap.entities)
 
 
 class TestRecall:
