@@ -367,16 +367,12 @@ class _Subset(Mapping):
         kept = np.zeros(len(catalog), dtype=np.uint8)
         kept[rows] = 1
         self._kept = kept.tobytes()
-        self._records = {}  # the records looked up so far
 
     def __getitem__(self, eid):
-        record = self._records.get(eid)
-        if record is None:
-            row = self._rows.get(eid)
-            if row is None or not self._kept[row]:
-                raise KeyError(eid)
-            record = self._records.setdefault(eid, self._catalog.record(row))
-        return record
+        row = self._rows.get(eid)
+        if row is None or not self._kept[row]:
+            raise KeyError(eid)
+        return self._catalog.record(row)
 
     def __contains__(self, eid):
         row = self._rows.get(eid)

@@ -177,11 +177,11 @@ def _blocks(texts):
         yield block
 
 
-def _key(records) -> str:
-    """Cache key of an index over ``records``: the tokenizer pattern, and
-    the length of every document text and all the text, in order."""
+def _key(texts) -> str:
+    """Cache key of an index over the document ``texts``: the tokenizer
+    pattern, and the length of every text and all the text, in order."""
     lengths, text = hashlib.blake2b(), hashlib.blake2b()
-    for block in _blocks(map(_document_text, records)):
+    for block in _blocks(texts):
         lengths.update(array("q", map(len, block)))
         text.update("".join(block).encode("utf-8", "surrogatepass"))
     return cache.digest(_TOKEN_RE.pattern.encode(), lengths.digest(), text.digest())
@@ -258,7 +258,8 @@ class Bm25Index:
         records = sorted(records, key=attrgetter("id"))
         self.by_id = {r.id: r for r in records}
         self.doc_ids = [r.id for r in records]
-        self._load(params, kind, _key(records), map(_document_text, records))
+        texts = list(map(_document_text, records))
+        self._load(params, kind, _key(texts), texts)
 
     @classmethod
     def _over_catalog(cls, entities: EntityCatalog, params: Bm25Params,

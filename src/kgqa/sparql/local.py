@@ -26,40 +26,42 @@ def _concrete(term, bindings) -> Optional[str]:
     raise ExecutionError(f"unsupported term {term!r}")
 
 
-def _solutions(patterns, snapshot: Snapshot) -> Iterator[dict[str, str]]:
-    def extend(index: int, bindings: dict[str, str]) -> Iterator[dict[str, str]]:
-        if index == len(patterns):
-            yield dict(bindings)
-            return
-        pattern = patterns[index]
-        s = _concrete(pattern.subject, bindings)
-        p = _concrete(pattern.predicate, bindings)
-        o = _concrete(pattern.object, bindings)
-        for triple in snapshot.match(s, p, o):
-            added = []
-            ok = True
-            for term, value in ((pattern.subject, triple.subject),
-                                (pattern.predicate, triple.predicate),
-                                (pattern.object, triple.object)):
-                if isinstance(term, Var):
-                    bound = bindings.get(term.name)
-                    if bound is None:
-                        bindings[term.name] = value
-                        added.append(term.name)
-                    elif bound != value:
-                        ok = False
-                        break
-            if ok:
-                yield from extend(index + 1, bindings)
-            for name in added:
-                del bindings[name]
-
-    yield from extend(0, {})
+def _solutions(patterns, snapshot: Snapshot, index: int,
+               bindings: dict[str, str]) -> Iterator[dict[str, str]]:
+    """Solutions of ``patterns[index:]`` under ``bindings``. A module-level
+    function, not a closure over itself: a self-referencing closure is a
+    reference cycle that keeps every query's patterns alive until the
+    cyclic collector runs."""
+    if index == len(patterns):
+        yield dict(bindings)
+        return
+    pattern = patterns[index]
+    s = _concrete(pattern.subject, bindings)
+    p = _concrete(pattern.predicate, bindings)
+    o = _concrete(pattern.object, bindings)
+    for triple in snapshot.match(s, p, o):
+        added = []
+        ok = True
+        for term, value in ((pattern.subject, triple.subject),
+                            (pattern.predicate, triple.predicate),
+                            (pattern.object, triple.object)):
+            if isinstance(term, Var):
+                bound = bindings.get(term.name)
+                if bound is None:
+                    bindings[term.name] = value
+                    added.append(term.name)
+                elif bound != value:
+                    ok = False
+                    break
+        if ok:
+            yield from _solutions(patterns, snapshot, index + 1, bindings)
+        for name in added:
+            del bindings[name]
 
 
 def execute_local(ast: QueryAst, snapshot: Snapshot) -> AnswerSet:
     """Evaluate a parsed query against the snapshot."""
-    solutions = list(_solutions(ast.patterns, snapshot))
+    solutions = list(_solutions(ast.patterns, snapshot, 0, {}))
     if ast.form == "ask":
         return AnswerSet.from_bool(bool(solutions))
     if ast.form == "count":

@@ -125,7 +125,9 @@ def test_traced_join_workload_must_report_correct_and_no_failures():
 def test_cold_and_warm_processes_are_compared_on_a_pruned_generated_graph():
     """tools/coldstart.py runs a cold and a warm ``kgqa evaluate`` process
     over a generated qa-join graph pruned at min_degree 10, and exits 1 when
-    their outputs differ; each process gets a cache directory of its own."""
+    their outputs differ. The cold and warm processes of a round share one
+    fresh cache directory, so the warm one reads the entries the cold one
+    wrote."""
     step = _step("Cold and warm processes agree on a pruned qa-join graph")
     assert re.search(r"^\s*shell:\s*bash\s*$", step, re.M)
     commands = [line.strip() for line in step.splitlines() if line.strip().startswith("python3")]

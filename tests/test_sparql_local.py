@@ -1,5 +1,6 @@
 """Local execution vs exhaustive assignment enumeration."""
 
+import gc
 import itertools
 import random
 
@@ -251,6 +252,20 @@ class TestLocalExecutor:
         from kgqa.errors import QueryParseError
         with pytest.raises(QueryParseError):
             LocalExecutor(toy_snapshot).run("SELECT ?x WHERE { FILTER(?x) }")
+
+    def test_run_leaves_no_reference_cycles(self, toy_snapshot):
+        """A run frees what it built by reference counting alone, so a
+        question leaves nothing for the cyclic collector."""
+        executor = LocalExecutor(toy_snapshot)
+        query = "SELECT ?x WHERE { wd:Q1 wdt:P2 ?y . ?y ?p ?x }"
+        executor.run(query)  # fill the snapshot's lookup pools first
+        gc.collect()
+        gc.disable()
+        try:
+            assert executor.run(query).terms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestAnswerNormalization:
