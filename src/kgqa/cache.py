@@ -12,6 +12,8 @@ dropped. Deleting the directory is always safe. Writing an entry deletes
 the entries of its kind under any other format version, which this code
 can never read; entries of the current version are never deleted.
 
+``Texts`` is the one codec of a column of strings in an entry.
+
 ``counts`` tallies, per kind, the loads that hit (``"hit"``) or missed
 (``"miss"``) and the entries written (``"write"``) in this process.
 """
@@ -21,7 +23,9 @@ import os
 import tempfile
 import zipfile
 import zlib
+from array import array
 from collections import Counter
+from itertools import accumulate, pairwise, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -123,32 +127,50 @@ def _unlink(path) -> None:
         pass
 
 
-def pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(UTF-8 bytes of the concatenation, end offset of each string in
-    characters). Lone surrogates, as JSON escapes can produce, pass through."""
-    strings = list(strings)
-    ends = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings)).cumsum()
-    return pack_text("".join(strings), ends)
+class Texts:
+    """Strings kept as one text: string ``i`` is ``text[bounds[i]:bounds[i + 1]]``,
+    ``bounds`` an ``array("q")`` that starts at 0.
 
+    An entry holds them as ``packed()`` gives them: the UTF-8 bytes of the
+    text and the end offset of each string in characters, as int64. Lone
+    surrogates, as JSON escapes can produce, pass through.
+    """
 
-def pack_text(text: str, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``pack_strings`` of the strings ``text`` splits into at ``ends``."""
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8), ends
+    __slots__ = ("text", "bounds")
 
+    def __init__(self, text: str, bounds: array):
+        self.text, self.bounds = text, bounds
 
-def unpack_text(blob: np.ndarray, ends: np.ndarray) -> str:
-    """The concatenation ``pack_strings`` packed, decoded in one piece;
-    ValueError if the blob and ``ends`` disagree."""
-    if blob.dtype != np.uint8 or ends.dtype != np.int64 or blob.ndim != 1 or ends.ndim != 1:
-        raise ValueError("string blob or offsets of the wrong kind")
-    text = blob.tobytes().decode("utf-8", "surrogatepass")
-    if (ends[-1] if len(ends) else 0) != len(text) or (np.diff(ends, prepend=0) < 0).any():
-        raise ValueError("string blob and offsets disagree")
-    return text
+    @classmethod
+    def of(cls, strings: Iterable[str]) -> "Texts":
+        strings = list(strings)
+        bounds = array("q", [0])
+        bounds.extend(accumulate(map(len, strings)))
+        return cls("".join(strings), bounds)
 
+    @classmethod
+    def unpacked(cls, blob: np.ndarray, ends: np.ndarray) -> "Texts":
+        """The strings ``packed`` gave as ``blob`` and ``ends``, the text
+        decoded in one piece; ValueError if the two disagree."""
+        if blob.dtype != np.uint8 or ends.dtype != np.int64 or blob.ndim != 1 or ends.ndim != 1:
+            raise ValueError("string blob or offsets of the wrong kind")
+        text = blob.tobytes().decode("utf-8", "surrogatepass")
+        if (ends[-1] if len(ends) else 0) != len(text) or (np.diff(ends, prepend=0) < 0).any():
+            raise ValueError("string blob and offsets disagree")
+        bounds = array("q", [0])
+        bounds.frombytes(ends.tobytes())
+        return cls(text, bounds)
 
-def unpack_strings(blob: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The strings ``pack_strings`` packed; ValueError if the two disagree."""
-    text = unpack_text(blob, ends)
-    bounds = [0, *ends.tolist()]
-    return list(map(text.__getitem__, map(slice, bounds, bounds[1:])))
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(blob, ends)``: the UTF-8 bytes of the text and the end offsets."""
+        return (np.frombuffer(self.text.encode("utf-8", "surrogatepass"), dtype=np.uint8),
+                np.frombuffer(self.bounds, dtype=np.int64)[1:])
+
+    def __len__(self):
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i):
+        return self.text[self.bounds[i]:self.bounds[i + 1]]
+
+    def __iter__(self):
+        return map(self.text.__getitem__, starmap(slice, pairwise(self.bounds)))

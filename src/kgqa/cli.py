@@ -509,7 +509,8 @@ def execute_cmd(toy, entity_file, predicate_file, triple_file, query, executor_c
               default="alg1", show_default=True)
 @click.option("--execution-check", type=click.Choice(["on", "off"]), default="on",
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Accepted and ignored: evaluate draws no random numbers.")
 @click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @_llm_options
 @_options(_OUTPUT_OPTIONS)
@@ -533,7 +534,7 @@ def evaluate(toy, entity_file, predicate_file, triple_file, dataset_path, split,
         generator=_generator(generator, llm, {ex.id: ex.gold_query for ex in examples}),
         executor=_executor(executor_choice, snapshot, endpoint, user_agent, timeout),
         policy=GuardPolicy(filter=filter_mode, execution=execution_check == "on"),
-        k=k, seed=seed, workers=workers,
+        k=k, workers=workers,
     )
     report = evaluate_end_to_end(examples, pipeline_cfg)
     out_path = _outdir(out)
@@ -566,7 +567,7 @@ def reject_report(toy, entity_file, predicate_file, triple_file, dataset_path, s
         snapshot=snapshot, entity_index=entity_index, predicate_index=predicate_index,
         disambiguator=GoldOracle(),
         generator=GoldPassthrough({ex.id: ex.gold_query for ex in examples}),
-        executor=LocalExecutor(snapshot), k=k, seed=seed,
+        executor=LocalExecutor(snapshot), k=k,
     )
     cases = build_rejection_suite(examples, snapshot, corrupt_fraction, seed)
     outcomes = run_rejection_study(cases, pipeline_cfg)

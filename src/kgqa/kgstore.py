@@ -7,25 +7,27 @@ File formats:
     token shaped like "Q" + digits is an entity reference, anything else
     a literal kept verbatim.
 
-Catalog ids are shaped like "Q" or "P" + digits and are unique, in records
-as in files. A label is a string, non-empty for a predicate; a description
-is a string or absent (or null), and an entity's aliases an array of
-strings or absent (or null). One check holds catalog rows to these rules,
-whichever constructor reads them, and reports each failing row once, in row
-order. ``read_jsonl`` reads both catalogs and ``evaluation.load_dataset``'s
-file. Unknown JSON keys are ignored. Entity degrees are always recomputed
-from the triples; degree values present in the input are discarded.
+Catalog ids are strings shaped like "Q" or "P" + digits and are unique, in
+records as in files. A label is a string, non-empty for a predicate; a
+description is a string or absent (or null), and an entity's aliases an
+array of strings or absent (or null). One check holds catalog rows to these
+rules, whichever constructor reads them, and reports each failing row once,
+in row order. ``read_jsonl`` reads both catalogs and
+``evaluation.load_dataset``'s file. Unknown JSON keys are ignored. Entity
+degrees are always recomputed from the triples; degree values present in
+the input are discarded.
 
 The deduplicated triples are kept as three integer columns in order of
 first occurrence. Entities share one id space as subjects and as objects;
 literals get ids after it. Each position has a CSR index whose rows for a
 key are in that order. The entity catalog is an ``EntityCatalog``, kept as
-columns: the ids, the label, description and alias strings packed one text
-per field, and the degrees. The rest is built on first use and kept: an
-entity's record on the first lookup of its id, a row's ``Triple`` the first
-time a match pool or a read of ``Snapshot.triples`` reaches it (one object
-per row, shared by every pool), a key's match pool on its first ``match``,
-and an entity's relation profile on its first lookup.
+columns: the ids, the label, description and alias strings, one
+``cache.Texts`` per field, and the degrees. The rest is built on first use
+and kept: an entity's record on the first lookup of its id, a row's
+``Triple`` the first time a match pool or a read of ``Snapshot.triples``
+reaches it (one object per row, shared by every pool), a key's match pool
+on its first ``match``, and an entity's relation profile on its first
+lookup.
 ``len(snapshot.triples)`` builds nothing.
 
 A load digests the bytes of its three input files (blake2b). A snapshot
@@ -42,7 +44,8 @@ or when parsing the same bytes would give another snapshot (a new
 validation rule, another id order), so that no entry written before the
 change is read after it. The catalog of a snapshot that has an entry
 carries the entry's format and key as its ``content_key``, which keys the
-BM25 index built over it.
+BM25 index built over it; the index over a catalog without one (built from
+records, or parsed from files that changed mid-load) is not cached.
 """
 
 import gc
@@ -60,6 +63,7 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from kgqa import cache
+from kgqa.cache import Texts
 from kgqa.errors import LoadError, NotFoundError
 from kgqa.ids import is_entity_id, is_predicate_id
 
@@ -237,44 +241,6 @@ class _Profiles(Mapping):
         return len(self._table._key_ids[_SUBJECT])
 
 
-class _Texts:
-    """Strings kept as one text: string ``i`` is ``text[bounds[i]:bounds[i + 1]]``."""
-
-    __slots__ = ("text", "bounds")
-
-    def __init__(self, text: str, bounds: array):
-        self.text, self.bounds = text, bounds
-
-    @classmethod
-    def of(cls, strings):
-        strings = list(strings)
-        bounds = array("q", [0])
-        bounds.extend(accumulate(map(len, strings)))
-        return cls("".join(strings), bounds)
-
-    @classmethod
-    def unpacked(cls, blob, ends):
-        """The strings ``cache.pack_strings`` packed into ``blob`` and ``ends``."""
-        return cls(cache.unpack_text(blob, ends), _bounds(ends))
-
-    def __len__(self):
-        return len(self.bounds) - 1
-
-    def __getitem__(self, i):
-        return self.text[self.bounds[i]:self.bounds[i + 1]]
-
-    def packed(self):
-        """``(blob, ends)`` as ``cache.pack_strings`` gives them."""
-        return cache.pack_text(self.text, np.frombuffer(self.bounds, dtype=np.int64)[1:])
-
-
-def _bounds(ends) -> array:
-    """``[0, *ends]`` as an ``array("q")``."""
-    bounds = array("q", [0])
-    bounds.frombytes(np.ascontiguousarray(ends, dtype=np.int64).tobytes())
-    return bounds
-
-
 class EntityCatalog(Mapping):
     """Read-only mapping of entity ids, in catalog order, to their records,
     kept as columns: ``ids``, the label, description and alias texts, each
@@ -301,8 +267,8 @@ class EntityCatalog(Mapping):
         ids, labels, descriptions, aliases = list(zip(*fields)) or ((), (), (), ())
         alias_bounds = array("q", [0])
         alias_bounds.extend(accumulate(map(len, aliases)))
-        return cls(list(ids), rows, _Texts.of(labels), _Texts.of(descriptions),
-                   _Texts.of(chain.from_iterable(aliases)), alias_bounds, degrees)
+        return cls(list(ids), rows, Texts.of(labels), Texts.of(descriptions),
+                   Texts.of(chain.from_iterable(aliases)), alias_bounds, degrees)
 
     def record(self, row: int) -> EntityRecord:
         """The record of the entity at ``row``, built on first use."""
@@ -513,13 +479,13 @@ def _parse(paths) -> Snapshot:
     # A catalog's failed checks follow all of that file's parse errors.
     invalid: list[tuple[str, int, str]] = []
     entities = _entity_catalog(
-        ((lineno, str(obj["id"]), obj["label"], obj.get("description"), obj.get("aliases"))
+        ((lineno, obj["id"], obj["label"], obj.get("description"), obj.get("aliases"))
          for lineno, obj in read_jsonl(entity_file, ("id", "label"), offenders)),
         str(entity_file), invalid)
     offenders += invalid
     invalid.clear()
     predicates = _predicate_catalog(
-        ((lineno, str(obj["id"]), obj["label"], obj.get("description"))
+        ((lineno, obj["id"], obj["label"], obj.get("description"))
          for lineno, obj in read_jsonl(predicate_file, ("id", "label"), offenders)),
         str(predicate_file), invalid)
     offenders += invalid
@@ -538,7 +504,9 @@ def _entity_catalog(rows, source, offenders) -> dict[str, tuple]:
     for lineno, eid, label, description, aliases in rows:
         description = "" if description is None else description
         aliases = () if aliases is None else aliases
-        if not is_entity_id(eid):
+        if not isinstance(eid, str):
+            problem = "id must be a string"
+        elif not is_entity_id(eid):
             problem = f"bad entity id {eid!r}"
         elif eid in entities:
             problem = f"duplicate entity id {eid}"
@@ -564,7 +532,9 @@ def _predicate_catalog(rows, source, offenders) -> dict[str, PredicateRecord]:
     predicates: dict[str, PredicateRecord] = {}
     for lineno, pid, label, description in rows:
         description = "" if description is None else description
-        if not is_predicate_id(pid):
+        if not isinstance(pid, str):
+            problem = "id must be a string"
+        elif not is_predicate_id(pid):
             problem = f"bad predicate id {pid!r}"
         elif pid in predicates:
             problem = f"duplicate predicate id {pid}"
@@ -689,9 +659,6 @@ def _within(ids, size):
 
 
 _FIELDS = ("id", "label", "description")
-# The string columns of a snapshot cache entry, each a blob with offsets.
-_STRINGS = (*(f"entity_{f}" for f in _FIELDS), "entity_aliases",
-            *(f"predicate_{f}" for f in _FIELDS), "literals")
 
 
 def _entry(snapshot: Snapshot) -> dict:
@@ -702,15 +669,12 @@ def _entry(snapshot: Snapshot) -> dict:
     arrays["degrees"] = entities.degrees.astype(np.int64)
     arrays["alias_counts"] = np.diff(np.frombuffer(entities._alias_bounds, dtype=np.int64))
     arrays["id_order"] = entities.id_order()
-    packed = {"entity_id": cache.pack_strings(entities.ids),
-              "entity_label": entities._labels.packed(),
-              "entity_description": entities._descriptions.packed(),
-              "entity_aliases": entities._aliases.packed(),
-              "literals": cache.pack_strings(table._terms[len(entities):])}
-    packed.update((f"predicate_{f}", cache.pack_strings(map(attrgetter(f), predicates)))
-                  for f in _FIELDS)
-    for name, (blob, ends) in packed.items():
-        arrays[name], arrays[name + "_ends"] = blob, ends
+    packed = {"entity_id": Texts.of(entities.ids), "entity_label": entities._labels,
+              "entity_description": entities._descriptions, "entity_aliases": entities._aliases,
+              "literals": Texts.of(table._terms[len(entities):])}
+    packed.update((f"predicate_{f}", Texts.of(map(attrgetter(f), predicates))) for f in _FIELDS)
+    for name, texts in packed.items():
+        arrays[name], arrays[name + "_ends"] = texts.packed()
     return arrays
 
 
@@ -718,20 +682,19 @@ def _from_entry(arrays) -> Snapshot:
     """The snapshot from the arrays ``_entry`` wrote; ValueError if they
     disagree. Ids and literals are decoded into strings; the other entity
     texts stay packed, one string each."""
-    ids, pids, plabels, pdescriptions, literals = (
-        cache.unpack_strings(arrays.pop(name), arrays.pop(name + "_ends"))
+    ids, pids, plabels, pdescriptions, literals, labels, descriptions, aliases = (
+        Texts.unpacked(arrays.pop(name), arrays.pop(name + "_ends"))
         for name in ("entity_id", "predicate_id", "predicate_label", "predicate_description",
-                     "literals"))
-    labels, descriptions, aliases = (
-        _Texts.unpacked(arrays.pop(name), arrays.pop(name + "_ends"))
-        for name in ("entity_label", "entity_description", "entity_aliases"))
+                     "literals", "entity_label", "entity_description", "entity_aliases"))
+    ids = list(ids)
     s, p, o, degrees, alias_counts, id_order = (
         arrays[name] for name in ("s", "p", "o", "degrees", "alias_counts", "id_order"))
     n, m = len(ids), len(pids)
     n_terms = n + len(literals)
     if (not len(labels) == len(descriptions) == len(degrees) == len(alias_counts) == n
             or not len(plabels) == len(pdescriptions) == m
-            or (alias_counts < 0).any() or alias_counts.sum() != len(aliases)
+            or alias_counts.dtype != np.int64 or (alias_counts < 0).any()
+            or alias_counts.sum() != len(aliases)
             or not len(s) == len(p) == len(o) or {s.dtype, p.dtype, o.dtype} != {_INTC}
             or not (_within(s, n) and _within(p, m) and _within(o, n_terms))
             or id_order.dtype != _INTC or len(id_order) != n or not _within(id_order, n)
@@ -742,8 +705,10 @@ def _from_entry(arrays) -> Snapshot:
                   for pid, label, description in zip(pids, plabels, pdescriptions)}
     if len(entity_ids) != n or len(predicates) != m:
         raise ValueError("snapshot entry repeats an id")
-    entities = EntityCatalog(ids, entity_ids, labels, descriptions, aliases,
-                             _bounds(alias_counts.cumsum()), degrees, id_order)
+    alias_bounds = array("q", [0])
+    alias_bounds.frombytes(alias_counts.cumsum().tobytes())
+    entities = EntityCatalog(ids, entity_ids, labels, descriptions, aliases, alias_bounds,
+                             degrees, id_order)
     return _assemble((s, p, o), entities, predicates, dict(zip(predicates, range(m))),
                      dict(zip(literals, range(n, n_terms))))
 

@@ -42,7 +42,6 @@ class PipelineConfig:
     executor: object
     policy: GuardPolicy = field(default_factory=GuardPolicy)
     k: int = 10
-    seed: int = 0
     workers: int = 1
     fewshot_examples: tuple = ()
 

@@ -17,22 +17,23 @@ term's per-document contributions are computed the first time a search
 meets the term under a ``(k1, b)`` and kept, so a later search adds them
 with one gather, add and scatter.
 
-An index over document texts indexed before loads its term ids and
-postings from a ``kgqa.cache`` entry instead of tokenizing. An entity index
-over a loaded snapshot's catalog (``snapshot.entities.values()``, see
-``kgstore.EntityCatalog``) is keyed by the catalog's ``content_key``, the
-kind, the rows it keeps in id order and the tokenizer pattern, and reads
-its ids and records through the catalog's columns: a warm build renders no
-document text and builds no record. Any other records are keyed by their
-texts in id order and the tokenizer pattern. Bump ``INDEX_FORMAT`` when the
-entry's arrays or their meaning change, or when the same key would give
-other postings (``_document_text``, the lowercasing, the term id order, the
-idf formula).
+An entity index over an ``EntityCatalog`` (``snapshot.entities.values()``)
+reads its ids and records through the catalog's columns. When the catalog
+has a ``content_key``, which a loaded snapshot's catalog has, the index is
+cached: its term ids and postings come from a ``kgqa.cache`` entry keyed by
+the ``content_key``, the kind, the rows it keeps in id order and the
+tokenizer pattern, so a warm build renders no document text and builds no
+record. Every other index (the predicate index, an index over a list of
+records, over a catalog built from records in code) tokenizes its texts
+and writes nothing: a predicate catalog is small enough that tokenizing it
+costs less than reading an entry. Bump ``INDEX_FORMAT`` when the entry's
+arrays or their meaning change, or when the same key would give other
+postings (``_document_text``, the lowercasing, the term id order, the idf
+formula).
 """
 
 import copy
 import csv
-import hashlib
 import math
 import re
 from array import array
@@ -92,32 +93,36 @@ PRESETS: dict[str, DatasetPreset] = {
 
 
 class Hits(Sequence):
-    """Ranked ``(id, score)`` pairs, kept as an id tuple and an
-    ``array('d')`` of scores. It reads like a tuple of pairs: iteration,
-    indexing, slices (a tuple), ``len``, equality with tuples and ``hash``;
-    each score is a built-in float. It takes about a third of the memory.
+    """Ranked ``(id, score)`` pairs, kept as an id tuple and the scores'
+    float64 bytes, which the cyclic collector does not track. It reads like
+    a tuple of pairs: iteration, indexing, slices (a tuple), ``len``,
+    equality with tuples and ``hash``; each score is a built-in float. It
+    takes about a third of the memory.
     """
 
     __slots__ = ("_ids", "_scores")
 
     def __init__(self, ids, scores):
         self._ids = tuple(ids)
-        self._scores = scores if isinstance(scores, array) else array("d", scores)
+        self._scores = scores if isinstance(scores, bytes) else array("d", scores).tobytes()
+
+    def _floats(self) -> memoryview:
+        return memoryview(self._scores).cast("d")
 
     def __len__(self):
         return len(self._ids)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(zip(self._ids[index], self._scores[index]))
-        return self._ids[index], self._scores[index]
+            return tuple(zip(self._ids[index], self._floats()[index]))
+        return self._ids[index], self._floats()[index]
 
     def __iter__(self):
-        return zip(self._ids, self._scores)
+        return zip(self._ids, self._floats())
 
     def __eq__(self, other):
         if isinstance(other, Hits):
-            return self._ids == other._ids and self._scores == other._scores
+            return self._ids == other._ids and self._floats() == other._floats()
         if isinstance(other, tuple):
             return tuple(self) == other
         return NotImplemented
@@ -177,16 +182,6 @@ def _blocks(texts):
         yield block
 
 
-def _key(texts) -> str:
-    """Cache key of an index over the document ``texts``: the tokenizer
-    pattern, and the length of every text and all the text, in order."""
-    lengths, text = hashlib.blake2b(), hashlib.blake2b()
-    for block in _blocks(texts):
-        lengths.update(array("q", map(len, block)))
-        text.update("".join(block).encode("utf-8", "surrogatepass"))
-    return cache.digest(_TOKEN_RE.pattern.encode(), lengths.digest(), text.digest())
-
-
 def _tokenized(texts, n):
     """``(term_ids, arrays)`` of an index over ``n`` document ``texts``:
     term ids in order of first occurrence and the ``_ARRAYS``, tokenizing
@@ -211,14 +206,14 @@ def _tokenized(texts, n):
 
 def _entry(term_ids, arrays) -> dict:
     """The cache entry of an index: its terms in id order and its arrays."""
-    blob, ends = cache.pack_strings(term_ids)
+    blob, ends = cache.Texts.of(term_ids).packed()
     return {"terms": blob, "terms_ends": ends, **arrays}
 
 
 def _from_entry(arrays, n_docs):
     """``(term_ids, arrays)`` from a cache entry; ValueError if its arrays
     disagree with each other, with ``n_docs`` or with a fresh build's dtypes."""
-    terms = cache.unpack_strings(arrays.pop("terms"), arrays.pop("terms_ends"))
+    terms = cache.Texts.unpacked(arrays.pop("terms"), arrays.pop("terms_ends"))
     offsets, docs, tfs, doc_len, idf = (arrays[name] for name in _ARRAYS)
     if ([a.dtype for a in (offsets, docs, tfs, doc_len, idf)] != list(_ARRAYS.values())
             or len(offsets) != len(terms) + 1 or len(idf) != len(terms)
@@ -242,14 +237,14 @@ class Bm25Index:
     kept contributions.
 
     Everything else depends only on the document texts in id order. An
-    entity index over a loaded snapshot's catalog keys its cache entry by
-    ``cache.digest(content_key, b"entity", rows, pattern)``: the catalog's
-    ``content_key`` (the snapshot's format and input digest), the catalog
-    rows it keeps in id order, and the tokenizer pattern. Its ``doc_ids``
-    come from the catalog's id order and its ``by_id`` is a read-only
-    mapping over the kept rows that reads records through the catalog. Any
-    other index keys its entry by its texts (``_key``) and holds a dict of
-    its records in ``by_id``.
+    entity index over an ``EntityCatalog`` takes its ``doc_ids`` from the
+    catalog's id order, and its ``by_id`` is a read-only mapping over the
+    kept rows that reads records through the catalog. Over a catalog with a
+    ``content_key`` it keys its cache entry by ``cache.digest(content_key,
+    b"entity", rows, pattern)``: the ``content_key`` (the snapshot's format
+    and input digest), the catalog rows it keeps in id order, and the
+    tokenizer pattern. Any other index is not cached and holds a dict of its
+    records in ``by_id``.
     """
 
     def __init__(self, records: Sequence, params: Bm25Params, kind: str):
@@ -258,15 +253,14 @@ class Bm25Index:
         records = sorted(records, key=attrgetter("id"))
         self.by_id = {r.id: r for r in records}
         self.doc_ids = [r.id for r in records]
-        texts = list(map(_document_text, records))
-        self._load(params, kind, _key(texts), texts)
+        self._load(params, kind, None, map(_document_text, records))
 
     @classmethod
     def _over_catalog(cls, entities: EntityCatalog, params: Bm25Params,
                       pruned_ids: Optional[set[str]]) -> "Bm25Index":
-        """An entity index over a loaded snapshot's catalog, read through
-        its columns: ids and the id order come from the catalog, records are
-        built only when ``by_id`` is read, and texts only on a cache miss."""
+        """An entity index over a catalog, read through its columns: ids and
+        the id order come from the catalog, records are built only when
+        ``by_id`` is read, and texts only when the index is tokenized."""
         rows = entities.id_order()
         if pruned_ids is not None:
             kept = np.fromiter(map(pruned_ids.__contains__, entities.ids), dtype=bool,
@@ -277,21 +271,25 @@ class Bm25Index:
         index = cls.__new__(cls)
         index.doc_ids = list(map(entities.ids.__getitem__, rows.tolist()))
         index.by_id = entities.subset(rows, index.doc_ids)
-        key = cache.digest(entities.content_key.encode(), b"entity", rows,
-                           _TOKEN_RE.pattern.encode())
+        key = entities.content_key
+        if key is not None:
+            key = cache.digest(key.encode(), b"entity", rows, _TOKEN_RE.pattern.encode())
         index._load(params, "entity", key, starmap(_text, map(entities.fields, rows.tolist())))
         return index
 
-    def _load(self, params: Bm25Params, kind: str, key: str, texts: Iterable[str]):
-        """Term ids and postings from the cache entry ``key``, or from
-        tokenizing ``texts``, the documents in ``doc_ids`` order, on a miss."""
+    def _load(self, params: Bm25Params, kind: str, key: Optional[str], texts: Iterable[str]):
+        """Term ids and postings from tokenizing ``texts``, the documents in
+        ``doc_ids`` order; with a ``key``, from its cache entry when there
+        is one, and written to it when there is not."""
         self.params = params
         self.kind = kind
         n = len(self.doc_ids)
-        built = cache.load("bm25", INDEX_FORMAT, key, lambda arrays: _from_entry(arrays, n))
+        built = None if key is None else cache.load(
+            "bm25", INDEX_FORMAT, key, lambda arrays: _from_entry(arrays, n))
         if built is None:
             built = _tokenized(texts, n)
-            cache.store("bm25", INDEX_FORMAT, key, _entry(*built))
+            if key is not None:
+                cache.store("bm25", INDEX_FORMAT, key, _entry(*built))
         self.term_ids, arrays = built
         self.offsets, self.docs, self.tfs, self.doc_len, self.idf = (
             arrays[name] for name in _ARRAYS)
@@ -333,7 +331,7 @@ class Bm25Index:
               pruned_ids: Optional[set[str]] = None) -> "Bm25Index":
         """An index over the records of ``catalog``, only those with an id in
         ``pruned_ids`` when it is given."""
-        if isinstance(catalog, EntityValues) and catalog.mapping.content_key is not None:
+        if isinstance(catalog, EntityValues):
             return cls._over_catalog(catalog.mapping, params, pruned_ids)
         records = list(catalog)
         if pruned_ids is not None:
@@ -367,7 +365,7 @@ class Bm25Index:
         order = np.lexsort((hit, -values))[:k]
         ids = [self.doc_ids[i] for i in hit[order].tolist()]
         return CandidateSet(query=query, kind=self.kind,
-                            hits=Hits(ids, array("d", values[order].tobytes())))
+                            hits=Hits(ids, values[order].tobytes()))
 
 
 @dataclass(frozen=True)

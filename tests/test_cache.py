@@ -36,9 +36,18 @@ def test_digest_frames_each_part():
 
 @pytest.mark.parametrize("strings", [[], [""], STRINGS, STRINGS[::-1]])
 def test_strings_round_trip(strings):
-    blob, ends = cache.pack_strings(iter(strings))
+    blob, ends = cache.Texts.of(iter(strings)).packed()
     assert blob.dtype == np.uint8 and ends.dtype == np.int64
-    assert cache.unpack_strings(blob, ends) == strings
+    texts = cache.Texts.unpacked(blob, ends)
+    assert len(texts) == len(strings)
+    assert list(texts) == strings
+    assert [texts[i] for i in range(len(texts))] == strings
+
+
+def test_packed_bytes_are_utf8_and_character_ends():
+    blob, ends = cache.Texts.of(["abc", "", "déf"]).packed()
+    assert blob.tobytes() == "abcdéf".encode("utf-8")
+    assert ends.dtype == np.int64 and ends.tolist() == [3, 3, 6]
 
 
 @pytest.mark.parametrize("damage", [
@@ -52,9 +61,9 @@ def test_strings_round_trip(strings):
 ], ids=["short-offsets", "short-blob", "decreasing", "float-offsets", "wide-blob",
         "2-d-offsets", "0-d-offsets"])
 def test_unpack_rejects_disagreeing_arrays(damage):
-    blob, ends = damage(*cache.pack_strings(["abc", "", "déf", "g"]))
+    blob, ends = damage(*cache.Texts.of(["abc", "", "déf", "g"]).packed())
     with pytest.raises(ValueError):
-        cache.unpack_strings(blob, ends)
+        cache.Texts.unpacked(blob, ends)
 
 
 def test_store_then_load(empty_cache):

@@ -28,8 +28,9 @@ def test_cold_then_warm_processes_on_the_toy_graph(tmp_path, capsys):
     _tool().main(["--data", str(data), "--runs", "1", "--base", str(ROOT / "src")])
     *lines, summary = map(json.loads, capsys.readouterr().out.splitlines())
     assert [line["kind"] for line in lines] == ["base", "cold", "warm"]
-    cold = {"snapshot.miss": 1, "snapshot.write": 1, "bm25.miss": 2, "bm25.write": 2}
+    # Only the entity index is cached; the predicate index is tokenized every time.
+    cold = {"snapshot.miss": 1, "snapshot.write": 1, "bm25.miss": 1, "bm25.write": 1}
     assert lines[0]["cache"] == lines[1]["cache"] == cold
-    assert lines[2]["cache"] == {"snapshot.hit": 1, "bm25.hit": 2}
+    assert lines[2]["cache"] == {"snapshot.hit": 1, "bm25.hit": 1}
     assert set(summary) == {"cold_median_s", "warm_median_s", "base_median_s",
                             "cold_over_base", "warm_over_base"}

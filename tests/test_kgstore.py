@@ -416,6 +416,38 @@ class TestLoaderEquivalence:
         assert ([(n, msg) for _, n, msg in built.value.offenders]
                 == [(n, msg) for _, n, msg in loaded.value.offenders])
 
+    def test_catalog_ids_must_be_strings(self, snapshot_files):
+        """A non-string id fails the first catalog check in both constructors,
+        in both catalogs, instead of being read through ``str()`` or raising
+        a bare TypeError."""
+        entities = [EntityRecord(5, "x"), EntityRecord("Q1", "a"), EntityRecord(None, "n"),
+                    EntityRecord(["Q2"], "l")]
+        predicates = [PredicateRecord(None, "r"), PredicateRecord("P1", "s"),
+                      PredicateRecord(7, "t")]
+        triples = [("Q1", "P1", "Q1")]
+        with pytest.raises(LoadError) as built:
+            snapshot_from_records(entities, predicates, triples)
+        files = snapshot_files(
+            [], [], triples,
+            entity_lines=[json.dumps({"id": e.id, "label": e.label}) for e in entities])
+        files[1].write_text("".join(json.dumps({"id": p.id, "label": p.label}) + "\n"
+                                    for p in predicates), encoding="utf-8")
+        with pytest.raises(LoadError) as loaded:
+            load_snapshot(*files)
+        assert built.value.offenders == [
+            ("<entity records>", 1, "id must be a string"),
+            ("<entity records>", 3, "id must be a string"),
+            ("<entity records>", 4, "id must be a string"),
+            ("<predicate records>", 1, "id must be a string"),
+            ("<predicate records>", 3, "id must be a string")]
+        entity_file, predicate_file = map(str, files[:2])
+        assert loaded.value.offenders == [
+            (entity_file, 1, "id must be a string"),
+            (entity_file, 3, "id must be a string"),
+            (entity_file, 4, "id must be a string"),
+            (predicate_file, 1, "id must be a string"),
+            (predicate_file, 3, "id must be a string")]
+
     def test_records_are_held_to_the_file_rules(self, snapshot_files):
         rows = ([EntityRecord("Q1", "a"), EntityRecord("Q1", "b")],
                 [PredicateRecord("X9", "r"), PredicateRecord("X9", "s")], [("Q1", "X9", "Q1")])
@@ -687,8 +719,8 @@ def damage_entry(path, how):
     elif how == "short-labels":
         arrays["entity_label_ends"] = arrays["entity_label_ends"][:-1]
     elif how == "repeated-id":
-        ids = cache.unpack_strings(arrays["entity_id"], arrays["entity_id_ends"])
-        packed = cache.pack_strings([ids[0]] * len(ids))
+        ids = cache.Texts.unpacked(arrays["entity_id"], arrays["entity_id_ends"])
+        packed = cache.Texts.of([ids[0]] * len(ids)).packed()
         arrays["entity_id"], arrays["entity_id_ends"] = packed
     elif how == "missing-array":
         del arrays["literals"]

@@ -10,9 +10,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgqa import kgstore, retrieval
+from kgqa import cache, kgstore, retrieval
 from kgqa.errors import DataError, IndexBuildError
-from kgqa.kgstore import EntityRecord, PredicateRecord, load_snapshot, prune_by_degree
+from kgqa.kgstore import (
+    EntityRecord,
+    PredicateRecord,
+    load_snapshot,
+    prune_by_degree,
+    snapshot_from_records,
+)
 from kgqa.retrieval import (
     Bm25Index,
     Bm25Params,
@@ -396,74 +402,94 @@ def damage_index_entry(path, how):
         np.savez(fh, **arrays)
 
 
+def catalog_files(snapshot_files, records):
+    """Snapshot files whose entity catalog is ``records``, with one
+    predicate and no triples."""
+    return snapshot_files([(r.id, r.label, r.description, list(r.aliases)) for r in records],
+                          [("P1", "rel")], [])
+
+
 class TestIndexCache:
-    """A build over texts indexed before comes from the cache entry and
-    equals a build that tokenizes; a damaged entry is rebuilt and rewritten."""
+    """An entity index over a loaded snapshot's catalog comes from its cache
+    entry when the same files were indexed before, and equals a build that
+    tokenizes; a damaged entry is rebuilt and rewritten. No other index is
+    cached."""
 
     QUERIES = ["capital of Veltria", "Mira Okafor", "café naïve", "日本語 alpha", "oov"]
 
-    def test_warm_build_equals_text_build(self, toy_snapshot, empty_cache, monkeypatch):
+    def test_warm_build_equals_text_build(self, snapshot_files, empty_cache, monkeypatch):
         rng = random.Random(41)
         corpora = [random_records(rng, rng.randint(1, 40)) for _ in range(25)] + [
             random_records(rng, 600),
             [EntityRecord("Q1", "?!"), EntityRecord("Q2", "--", "_")],
             [EntityRecord("Q1", "a\x00b", "\ud800 x\udfff", ("", "\x00", "é😀"))],
-            list(toy_snapshot.entities.values()),
-            list(toy_snapshot.predicates.values()),
         ]
         for records in corpora:
+            catalog = load_snapshot(*catalog_files(snapshot_files, records)).entities.values()
             params = Bm25Params(rng.choice([0.0, 1.2, 5.18]), rng.choice([0.0, 0.4, 1.0]))
-            text = Bm25Index.build(records, params)
-            warm = warm_build(records, params, monkeypatch)
+            text = Bm25Index.build(catalog, params)
+            warm = warm_build(catalog, params, monkeypatch)
             assert_same_index(text, warm, self.QUERIES)
             assert_same_index(text.with_params(Bm25Params(0.7, 0.3)),
                               warm.with_params(Bm25Params(0.7, 0.3)), self.QUERIES)
+            assert_same_index(text, Bm25Index.build(records, params), self.QUERIES)
         assert len(list(empty_cache.glob("bm25-*.npz"))) == len(corpora)
 
-    def test_key_is_the_texts_in_id_order(self, empty_cache, monkeypatch):
-        records = [EntityRecord("Q1", "alpha beta"), EntityRecord("Q2", "gamma", "delta")]
-        text = Bm25Index.build(records, Bm25Params(1.5, 0.75))
-        renamed = [PredicateRecord("P7", "alpha beta"), PredicateRecord("P8", "gamma", "delta")]
-        warm = warm_build(renamed, Bm25Params(0.5, 0.0), monkeypatch)
-        assert warm.term_ids == text.term_ids and np.array_equal(warm.tfs, text.tfs)
-        assert warm.doc_ids == ["P7", "P8"] and warm.kind == "predicate"
-        swapped = [EntityRecord("Q1", "gamma", "delta"), EntityRecord("Q2", "alpha beta")]
-        assert list(Bm25Index.build(swapped, Bm25Params(1.5, 0.75)).term_ids) == \
-            ["gamma", "delta", "alpha", "beta"]
-        assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
+    def test_indexes_over_records_are_not_cached(self, toy_snapshot, empty_cache,
+                                                 monkeypatch):
+        monkeypatch.setattr(cache, "counts", Counter())
+        params = Bm25Params(1.5, 0.75)
+        queries = self.QUERIES + [p.label for p in toy_snapshot.predicates.values()]
+        for catalog in (toy_snapshot.predicates.values(), list(toy_snapshot.entities.values()),
+                        random_records(random.Random(43), 60)):
+            first, second = Bm25Index.build(catalog, params), Bm25Index.build(catalog, params)
+            assert isinstance(first.by_id, dict)
+            assert_same_index(first, second)
+            for query in queries:
+                a, b = first.search(query, 100), second.search(query, 100)
+                assert a.ids() == b.ids() and a.hits._scores == b.hits._scores
+        assert list(empty_cache.glob("bm25-*.npz")) == []
+        assert not [kind for kind, _ in cache.counts if kind == "bm25"]
 
     @pytest.mark.parametrize("how", ["truncated", "wrong-version", "short-idf", "short-doc-len",
                                      "doc-out-of-range", "decreasing-offsets", "float-docs",
                                      "short-terms"])
-    def test_damaged_entry_falls_back_and_is_rewritten(self, empty_cache, monkeypatch, how):
+    def test_damaged_entry_falls_back_and_is_rewritten(self, snapshot_files, empty_cache,
+                                                       monkeypatch, how):
         records = random_records(random.Random(43), 60)
+        catalog = load_snapshot(*catalog_files(snapshot_files, records)).entities.values()
         params = Bm25Params(1.2, 0.75)
-        text = Bm25Index.build(records, params)
+        text = Bm25Index.build(catalog, params)
         (entry,) = empty_cache.glob("bm25-*.npz")
         damage_index_entry(entry, how)
         calls = Counter()
         real = retrieval.tokenize
         with monkeypatch.context() as m:
             m.setattr(retrieval, "tokenize", lambda t: calls.update([t]) or real(t))
-            again = Bm25Index.build(records, params)
+            again = Bm25Index.build(catalog, params)
         assert sum(calls.values()) == len(records)
         assert_same_index(text, again, self.QUERIES)
         assert list(empty_cache.glob("bm25-*.npz")) == [entry]
-        assert_same_index(text, warm_build(records, params, monkeypatch), self.QUERIES)
+        assert_same_index(text, warm_build(catalog, params, monkeypatch), self.QUERIES)
 
-    def test_regular_file_at_cache_path(self, empty_cache):
-        records = random_records(random.Random(47), 30)
+    def test_regular_file_at_cache_path(self, snapshot_files, empty_cache):
+        files = catalog_files(snapshot_files, random_records(random.Random(47), 30))
         empty_cache.write_bytes(b"not a directory")
-        first = Bm25Index.build(records, Bm25Params(1.2, 0.75))
-        assert_same_index(first, Bm25Index.build(records, Bm25Params(1.2, 0.75)), self.QUERIES)
+        params = Bm25Params(1.2, 0.75)
+        first = Bm25Index.build(load_snapshot(*files).entities.values(), params)
+        again = Bm25Index.build(load_snapshot(*files).entities.values(), params)
+        assert_same_index(first, again, self.QUERIES)
         assert empty_cache.read_bytes() == b"not a directory"
         assert [p.name for p in empty_cache.parent.iterdir()] == ["kgqa"]
 
-    def test_one_changed_character_misses(self, empty_cache):
+    def test_one_changed_character_misses(self, snapshot_files, empty_cache):
         records = [EntityRecord("Q1", "alpha"), EntityRecord("Q2", "beta", "", ("gamma",))]
-        before = Bm25Index.build(records, Bm25Params(1.2, 0.75))
+        params = Bm25Params(1.2, 0.75)
+        before = Bm25Index.build(
+            load_snapshot(*catalog_files(snapshot_files, records)).entities.values(), params)
         records[1] = EntityRecord("Q2", "beta", "", ("gammb",))
-        after = Bm25Index.build(records, Bm25Params(1.2, 0.75))
+        after = Bm25Index.build(
+            load_snapshot(*catalog_files(snapshot_files, records)).entities.values(), params)
         assert list(after.term_ids) == ["alpha", "beta", "gammb"]
         assert list(before.term_ids) == ["alpha", "beta", "gamma"]
         assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
@@ -511,11 +537,11 @@ class TestIndexOverCatalog:
         columns = Bm25Index.build(snap.entities.values(), params, pruned_ids=pruned)
         records = Bm25Index.build(list(snap.entities.values()), params, pruned_ids=pruned)
         assert isinstance(records.by_id, dict) and not isinstance(columns.by_id, dict)
-        assert len(list(empty_cache.glob("bm25-*.npz"))) == 2
+        assert len(list(empty_cache.glob("bm25-*.npz"))) == 1
         assert_same_index(columns, records, self.QUERIES)
         for query in self.QUERIES:
             a, b = columns.search(query, 100), records.search(query, 100)
-            assert a.ids() == b.ids() and a.hits._scores.tobytes() == b.hits._scores.tobytes()
+            assert a.ids() == b.ids() and a.hits._scores == b.hits._scores
         assert list(columns.by_id.items()) == list(records.by_id.items())
         assert len(columns.by_id) == len(records.by_id) == len(columns.doc_ids)
         for eid in snap.entities:
@@ -535,13 +561,12 @@ class TestIndexOverCatalog:
         cold = load_snapshot(*files)
         for pruned in (None, prune_by_degree(cold, 10)):
             Bm25Index.build(cold.entities.values(), params, pruned_ids=pruned)
-        Bm25Index.build(cold.predicates.values(), params)
-        rendered = Counter()
-        real_text = retrieval._text
+        rendered, tokenized = Counter(), Counter()
+        real_text, real_tokenize = retrieval._text, retrieval.tokenize
         before = count_records()
         with monkeypatch.context() as m:
             m.setattr(kgstore, "_parse", no_parse)
-            m.setattr(retrieval, "tokenize", no_tokenize)
+            m.setattr(retrieval, "tokenize", lambda t: tokenized.update([t]) or real_tokenize(t))
             m.setattr(retrieval, "_text", lambda *f: rendered.update([f[0]]) or real_text(*f))
             snap = load_snapshot(*files)
             indexes = [Bm25Index.build(snap.entities.values(), params,
@@ -549,8 +574,9 @@ class TestIndexOverCatalog:
                        Bm25Index.build(snap.entities.values(), params),
                        Bm25Index.build(snap.predicates.values(), params)]
         assert count_records() == before
-        # Only the predicate index, over plain records, renders its texts to key them.
+        # Only the predicate index, which is not cached, renders and tokenizes its texts.
         assert rendered == Counter(p.label for p in snap.predicates.values())
+        assert tokenized == Counter(map(retrieval._document_text, snap.predicates.values()))
         assert indexes[0].search("alpha", 5).ids() == \
             Bm25Index.build(list(cold.entities.values()), params,
                             pruned_ids=prune_by_degree(cold, 10)).search("alpha", 5).ids()
@@ -571,13 +597,29 @@ class TestIndexOverCatalog:
         assert "omega" in index.term_ids and "alpha" not in index.term_ids
         assert len(list(empty_cache.glob("bm25-*.npz"))) == 4
 
-    def test_catalog_without_content_key_takes_the_record_path(self, snapshot_files,
+    def test_catalogs_without_content_key_take_the_column_path(self, snapshot_files,
                                                                empty_cache, monkeypatch):
+        """A catalog built from records, or one whose files changed while it
+        was parsed, has no content key: its index reads through the catalog's
+        columns like any other and writes no entry."""
         files = hub_graph_files(snapshot_files, random.Random(67))
-        snap = load_snapshot(*files)
-        monkeypatch.setattr(snap.entities, "content_key", None)
-        index = Bm25Index.build(snap.entities.values(), Bm25Params(1.2, 0.75))
-        assert isinstance(index.by_id, dict) and index.by_id == dict(snap.entities)
+        loaded = load_snapshot(*files)
+        entries = sorted(empty_cache.iterdir())
+        monkeypatch.setattr(loaded.entities, "content_key", None)
+        built = snapshot_from_records(list(loaded.entities.values()),
+                                      list(loaded.predicates.values()), list(loaded.triples))
+        assert built.entities.content_key is None
+        params = Bm25Params(1.2, 0.75)
+        for min_degree in (None, 10):
+            pruned = None if min_degree is None else prune_by_degree(loaded, min_degree)
+            expected = Bm25Index.build(list(loaded.entities.values()), params, pruned_ids=pruned)
+            for snap in (loaded, built):
+                index = Bm25Index.build(snap.entities.values(), params, pruned_ids=pruned)
+                assert not isinstance(index.by_id, dict)
+                assert list(index.by_id) == index.doc_ids
+                assert all(index.by_id[eid] is snap.entities[eid] for eid in index.doc_ids)
+                assert_same_index(index, expected, self.QUERIES)
+        assert sorted(empty_cache.iterdir()) == entries
 
 
 class TestRecall:
@@ -739,6 +781,13 @@ class TestHits:
                                                      hits=self.PAIRS))
         assert candidates == CandidateSet(query="q", kind="entity", hits=self.PAIRS)
         assert pickle.loads(pickle.dumps(hits)) == hits
+
+    def test_scores_are_not_tracked_by_the_collector(self):
+        index = Bm25Index.build([EntityRecord("Q1", "alpha"), EntityRecord("Q2", "alpha beta")],
+                                Bm25Params(1.2, 0.75))
+        for hits in (Hits([i for i, _ in self.PAIRS], [s for _, s in self.PAIRS]),
+                     index.search("alpha", 10).hits, Hits([], [])):
+            assert gc.is_tracked(hits._scores) is False
 
     def test_search_scores_and_json_match_the_tuple_form(self):
         records = [EntityRecord(f"Q{i}", f"doc shared tok{i} " * (i % 3 + 1))
