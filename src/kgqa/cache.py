@@ -6,13 +6,19 @@ kind's format version and its key besides the arrays, and both are checked
 on every read. An entry is written to a temporary file in the same
 directory and renamed into place, so a reader never sees a partial one.
 
+Each kind's layout is declared once, as the schema passed to ``load``:
+name -> (dtype, or ``Texts`` for a column of strings; length name), in
+``kgstore._ARRAYS`` and ``retrieval._ARRAYS``; changing one bumps
+``SNAPSHOT_FORMAT`` or ``INDEX_FORMAT``. ``store`` writes a ``Texts`` value
+as ``name`` and ``name + "_ends"``, and ``load`` reads an entry as a miss
+unless every declared array is there, 1-d and of its dtype, and values
+sharing a length name are equally long.
+
 The cache only ever saves work: a missing, unreadable or malformed entry
 reads as a miss, and a failed write (no directory, a full disk) is
 dropped. Deleting the directory is always safe. Writing an entry deletes
 the entries of its kind under any other format version, which this code
 can never read; entries of the current version are never deleted.
-
-``Texts`` is the one codec of a column of strings in an entry.
 
 ``counts`` tallies, per kind, the loads that hit (``"hit"``) or missed
 (``"miss"``) and the entries written (``"write"``) in this process.
@@ -44,7 +50,7 @@ except ImportError:  # zipfile then raises RuntimeError for an LZMA member
 # missing, bzip2, LZMA or deflate over stored bytes).
 _UNREADABLE = (OSError, ValueError, KeyError, IndexError, EOFError, RuntimeError,
                LZMAError, zlib.error, zipfile.BadZipFile)
-# What ``build`` raises on arrays that disagree.
+# What arrays not as declared, or ``build`` on values that disagree, raise.
 _MALFORMED = (ValueError, KeyError, IndexError)
 
 counts: Counter = Counter()  # (kind, "hit" | "miss" | "write") -> number
@@ -71,14 +77,11 @@ def _path(kind: str, version: int, key: str) -> Path:
     return directory() / f"{kind}-v{version}-{key}.npz"
 
 
-def load(kind: str, version: int, key: str,
+def load(kind: str, version: int, key: str, schema: dict,
          build: Callable[[dict], T]) -> Optional[T]:
-    """``build(arrays)`` on the entry's arrays, or None on a miss.
-
-    ``build`` validates what it reads and raises ValueError (or lets an
-    IndexError or KeyError through) on a malformed entry, which then also
-    reads as a miss.
-    """
+    """``build(values)`` on the entry's values as ``schema`` declares them,
+    each ``Texts`` decoded, or None on a miss. ``build`` checks the values
+    and raises ValueError on a malformed entry, which also reads as a miss."""
     arrays = result = None
     try:
         with open(_path(kind, version, key), "rb") as fh:
@@ -90,16 +93,34 @@ def load(kind: str, version: int, key: str,
     if arrays is not None:
         try:
             if arrays.pop("format") == version and arrays.pop("key") == key:
-                result = build(arrays)
+                result = build(_declared(arrays, schema))
         except _MALFORMED:
             pass
     counts[kind, "miss" if result is None else "hit"] += 1
     return result
 
 
-def store(kind: str, version: int, key: str, arrays: dict) -> None:
-    """Write an entry atomically, then delete the entries of ``kind`` under
-    other format versions; any OSError drops the entry or leaves the stale one."""
+def _declared(arrays: dict, schema: dict) -> dict:
+    """``arrays`` as ``schema`` declares them; KeyError or ValueError if not."""
+    values, lengths = {}, {}
+    for name, (dtype, length) in schema.items():
+        if dtype is Texts:
+            value = Texts.unpacked(arrays[name], arrays[name + "_ends"])
+        elif (value := arrays[name]).ndim != 1 or value.dtype != dtype:
+            raise ValueError(f"entry array {name!r} is not a 1-d {dtype} array")
+        if lengths.setdefault(length, len(value)) != len(value):
+            raise ValueError(f"entry array {name!r} is not as long as the other {length}")
+        values[name] = value
+    return values
+
+
+def store(kind: str, version: int, key: str, values: dict) -> None:
+    """Write an entry of ``values``, ``Texts`` packed, atomically, then delete the entries
+    of ``kind`` under other format versions; any OSError drops it or leaves the stale one."""
+    arrays = {}
+    for name, value in values.items():
+        packed = value.packed() if isinstance(value, Texts) else (value,)
+        arrays.update(zip((name, name + "_ends"), packed))
     path = _path(kind, version, key)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

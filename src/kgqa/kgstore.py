@@ -39,13 +39,14 @@ piece and builds no record. The entry is written only after a parse
 succeeds, so a file that raises LoadError is parsed, and reported, every
 time, and only when the files digest the same after the parse as before
 it, so that an entry never holds what a file changed mid-load parsed to.
-Bump ``SNAPSHOT_FORMAT`` when the entry's arrays or their meaning change,
-or when parsing the same bytes would give another snapshot (a new
-validation rule, another id order), so that no entry written before the
-change is read after it. The catalog of a snapshot that has an entry
-carries the entry's format and key as its ``content_key``, which keys the
-BM25 index built over it; the index over a catalog without one (built from
-records, or parsed from files that changed mid-load) is not cached.
+``_ARRAYS`` declares the entry's arrays; bump ``SNAPSHOT_FORMAT`` when it
+or the meaning of an array changes, or when parsing the same bytes would
+give another snapshot (a new validation rule, another id order), so that
+no entry written before the change is read after it. The catalog of a
+snapshot that has an entry carries the entry's format and key as its
+``content_key``, which keys the BM25 index built over it; the index over a
+catalog without one (built from records, or parsed from files that changed
+mid-load) is not cached.
 """
 
 import gc
@@ -57,7 +58,6 @@ from collections.abc import Mapping, Sequence, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -444,7 +444,7 @@ def load_snapshot(entity_file, predicate_file, triple_file) -> Snapshot:
     """
     paths = (entity_file, predicate_file, triple_file)
     key = _digest(paths)
-    snapshot = cache.load("snapshot", SNAPSHOT_FORMAT, key, _from_entry)
+    snapshot = cache.load("snapshot", SNAPSHOT_FORMAT, key, _ARRAYS, _from_entry)
     if snapshot is None:
         snapshot = _parse(paths)
         # Files that changed between the two digests may have been parsed
@@ -651,6 +651,16 @@ def _assemble(columns, entities: EntityCatalog, predicates, predicate_ids,
 
 
 _INTC = np.dtype(np.intc)
+# The cache entry of a snapshot, as ``cache.load`` checks it: name ->
+# (dtype, or ``Texts`` for a column of strings; length name).
+_ARRAYS = {"s": (_INTC, "triples"), "p": (_INTC, "triples"), "o": (_INTC, "triples"),
+           "degrees": (np.dtype(np.int64), "entities"),
+           "alias_counts": (np.dtype(np.int64), "entities"), "id_order": (_INTC, "entities"),
+           "entity_id": (Texts, "entities"), "entity_label": (Texts, "entities"),
+           "entity_description": (Texts, "entities"), "entity_aliases": (Texts, "aliases"),
+           "literals": (Texts, "literals"), "predicate_id": (Texts, "predicates"),
+           "predicate_label": (Texts, "predicates"),
+           "predicate_description": (Texts, "predicates")}
 
 
 def _within(ids, size):
@@ -658,47 +668,35 @@ def _within(ids, size):
     return not len(ids) or (ids.min() >= 0 and ids.max() < size)
 
 
-_FIELDS = ("id", "label", "description")
-
-
 def _entry(snapshot: Snapshot) -> dict:
     """The cache entry of a snapshot: its columns, degrees and strings."""
     table, entities = snapshot.triples, snapshot.entities
     predicates = list(snapshot.predicates.values())
-    arrays = dict(zip("spo", table._columns))
-    arrays["degrees"] = entities.degrees.astype(np.int64)
-    arrays["alias_counts"] = np.diff(np.frombuffer(entities._alias_bounds, dtype=np.int64))
-    arrays["id_order"] = entities.id_order()
-    packed = {"entity_id": Texts.of(entities.ids), "entity_label": entities._labels,
-              "entity_description": entities._descriptions, "entity_aliases": entities._aliases,
-              "literals": Texts.of(table._terms[len(entities):])}
-    packed.update((f"predicate_{f}", Texts.of(map(attrgetter(f), predicates))) for f in _FIELDS)
-    for name, texts in packed.items():
-        arrays[name], arrays[name + "_ends"] = texts.packed()
-    return arrays
+    return {**dict(zip("spo", table._columns)),
+            "degrees": entities.degrees.astype(np.int64),
+            "alias_counts": np.diff(np.frombuffer(entities._alias_bounds, dtype=np.int64)),
+            "id_order": entities.id_order(),
+            "entity_id": Texts.of(entities.ids), "entity_label": entities._labels,
+            "entity_description": entities._descriptions, "entity_aliases": entities._aliases,
+            "literals": Texts.of(table._terms[len(entities):]),
+            "predicate_id": Texts.of(p.id for p in predicates),
+            "predicate_label": Texts.of(p.label for p in predicates),
+            "predicate_description": Texts.of(p.description for p in predicates)}
 
 
-def _from_entry(arrays) -> Snapshot:
-    """The snapshot from the arrays ``_entry`` wrote; ValueError if they
-    disagree. Ids and literals are decoded into strings; the other entity
-    texts stay packed, one string each."""
-    ids, pids, plabels, pdescriptions, literals, labels, descriptions, aliases = (
-        Texts.unpacked(arrays.pop(name), arrays.pop(name + "_ends"))
-        for name in ("entity_id", "predicate_id", "predicate_label", "predicate_description",
-                     "literals", "entity_label", "entity_description", "entity_aliases"))
+def _from_entry(values) -> Snapshot:
+    """The snapshot from an entry's values, in ``_ARRAYS`` order as
+    ``cache.load`` checked them; ValueError if they disagree. Ids and
+    literals are decoded into strings; the other entity texts stay packed,
+    one string each."""
+    (s, p, o, degrees, alias_counts, id_order, ids, labels, descriptions, aliases, literals,
+     pids, plabels, pdescriptions) = values.values()
     ids = list(ids)
-    s, p, o, degrees, alias_counts, id_order = (
-        arrays[name] for name in ("s", "p", "o", "degrees", "alias_counts", "id_order"))
     n, m = len(ids), len(pids)
     n_terms = n + len(literals)
-    if (not len(labels) == len(descriptions) == len(degrees) == len(alias_counts) == n
-            or not len(plabels) == len(pdescriptions) == m
-            or alias_counts.dtype != np.int64 or (alias_counts < 0).any()
-            or alias_counts.sum() != len(aliases)
-            or not len(s) == len(p) == len(o) or {s.dtype, p.dtype, o.dtype} != {_INTC}
+    if ((alias_counts < 0).any() or alias_counts.sum() != len(aliases)
             or not (_within(s, n) and _within(p, m) and _within(o, n_terms))
-            or id_order.dtype != _INTC or len(id_order) != n or not _within(id_order, n)
-            or (np.bincount(id_order, minlength=n) != 1).any()):
+            or not _within(id_order, n) or (np.bincount(id_order, minlength=n) != 1).any()):
         raise ValueError("snapshot entry arrays disagree")
     entity_ids = dict(zip(ids, range(n)))
     predicates = {pid: PredicateRecord(pid, label, description)

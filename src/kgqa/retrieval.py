@@ -26,10 +26,10 @@ tokenizer pattern, so a warm build renders no document text and builds no
 record. Every other index (the predicate index, an index over a list of
 records, over a catalog built from records in code) tokenizes its texts
 and writes nothing: a predicate catalog is small enough that tokenizing it
-costs less than reading an entry. Bump ``INDEX_FORMAT`` when the entry's
-arrays or their meaning change, or when the same key would give other
-postings (``_document_text``, the lowercasing, the term id order, the idf
-formula).
+costs less than reading an entry. ``_ARRAYS`` declares the entry's arrays;
+bump ``INDEX_FORMAT`` when it or the meaning of an array changes, or when
+the same key would give other postings (``_document_text``, the
+lowercasing, the term id order, the idf formula).
 """
 
 import copy
@@ -54,10 +54,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # in one step. Its token lists stay under the collector's generation-0
 # threshold (700 containers), so they trigger no collection of their own.
 _BLOCK_DOCS = 256
-# The arrays of an index that ``(k1, b)`` leave alone, with their dtypes.
-_ARRAYS = {"offsets": np.dtype(np.int64), "docs": np.dtype(np.int32),
-           "tfs": np.dtype(np.float64), "doc_len": np.dtype(np.int32),
-           "idf": np.dtype(np.float64)}
+# The cache entry of an index, what ``(k1, b)`` leave alone: name -> (dtype,
+# or ``Texts`` for a column of strings; length name), as ``cache.load`` checks it.
+_ARRAYS = {"terms": (cache.Texts, "terms"), "offsets": (np.dtype(np.int64), "offsets"),
+           "docs": (np.dtype(np.int32), "postings"), "tfs": (np.dtype(np.float64), "postings"),
+           "doc_len": (np.dtype(np.int32), "documents"),
+           "idf": (np.dtype(np.float64), "terms")}
 INDEX_FORMAT = 2  # version of the cache entry; see the module docstring
 
 
@@ -184,8 +186,8 @@ def _blocks(texts):
 
 def _tokenized(texts, n):
     """``(term_ids, arrays)`` of an index over ``n`` document ``texts``:
-    term ids in order of first occurrence and the ``_ARRAYS``, tokenizing
-    each text once."""
+    term ids in order of first occurrence and the other ``_ARRAYS``,
+    tokenizing each text once."""
     term_ids: dict[str, int] = {}
     terms = array("i")  # the term id of every token, documents in order
     doc_len = array("i")
@@ -200,25 +202,18 @@ def _tokenized(texts, n):
     df, offsets, docs, tfs = _postings(terms, doc_len, len(term_ids))
     idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()],
                    dtype=np.float64)
-    return term_ids, dict(zip(_ARRAYS, (offsets, docs, tfs,
-                                        np.array(doc_len, dtype=np.int32), idf)))
-
-
-def _entry(term_ids, arrays) -> dict:
-    """The cache entry of an index: its terms in id order and its arrays."""
-    blob, ends = cache.Texts.of(term_ids).packed()
-    return {"terms": blob, "terms_ends": ends, **arrays}
+    return term_ids, {"offsets": offsets, "docs": docs, "tfs": tfs,
+                      "doc_len": np.array(doc_len, dtype=np.int32), "idf": idf}
 
 
 def _from_entry(arrays, n_docs):
-    """``(term_ids, arrays)`` from a cache entry; ValueError if its arrays
-    disagree with each other, with ``n_docs`` or with a fresh build's dtypes."""
-    terms = cache.Texts.unpacked(arrays.pop("terms"), arrays.pop("terms_ends"))
-    offsets, docs, tfs, doc_len, idf = (arrays[name] for name in _ARRAYS)
-    if ([a.dtype for a in (offsets, docs, tfs, doc_len, idf)] != list(_ARRAYS.values())
-            or len(offsets) != len(terms) + 1 or len(idf) != len(terms)
-            or len(doc_len) != n_docs or offsets[0] != 0 or offsets[-1] != len(docs)
-            or len(tfs) != len(docs) or (np.diff(offsets) < 0).any()
+    """``(term_ids, arrays)`` from an entry's values, which ``cache.load``
+    checked against ``_ARRAYS``; ValueError if they disagree with each other
+    or with ``n_docs``."""
+    terms = arrays.pop("terms")
+    offsets, docs = arrays["offsets"], arrays["docs"]
+    if (len(offsets) != len(terms) + 1 or offsets[0] != 0 or offsets[-1] != len(docs)
+            or (np.diff(offsets) < 0).any() or len(arrays["doc_len"]) != n_docs
             or len(docs) and not (0 <= docs.min() and docs.max() < n_docs)):
         raise ValueError("index entry arrays disagree")
     return dict(zip(terms, range(len(terms)))), arrays
@@ -285,14 +280,15 @@ class Bm25Index:
         self.kind = kind
         n = len(self.doc_ids)
         built = None if key is None else cache.load(
-            "bm25", INDEX_FORMAT, key, lambda arrays: _from_entry(arrays, n))
+            "bm25", INDEX_FORMAT, key, _ARRAYS, lambda arrays: _from_entry(arrays, n))
         if built is None:
             built = _tokenized(texts, n)
             if key is not None:
-                cache.store("bm25", INDEX_FORMAT, key, _entry(*built))
+                cache.store("bm25", INDEX_FORMAT, key,
+                            {"terms": cache.Texts.of(built[0]), **built[1]})
         self.term_ids, arrays = built
         self.offsets, self.docs, self.tfs, self.doc_len, self.idf = (
-            arrays[name] for name in _ARRAYS)
+            arrays[name] for name in ("offsets", "docs", "tfs", "doc_len", "idf"))
         self.avgdl = int(self.doc_len.sum(dtype=np.int64)) / n
         self.norm = self._norm()
         self._term_weights = {}

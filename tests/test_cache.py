@@ -10,6 +10,7 @@ from kgqa import cache
 
 STRINGS = ["", "plain", "Zürich 東京", "a\x00b", "\x00", "\ud800", "\udfff", "\ud83d",
            "\ude00", "😀", "x" * 5000, ""]
+A = {"a": (np.dtype(np.int64), "a")}  # the schema of entries holding an int64 "a"
 
 
 def test_tests_use_their_own_cache_directory(cache_home):
@@ -68,23 +69,49 @@ def test_unpack_rejects_disagreeing_arrays(damage):
 
 def test_store_then_load(empty_cache):
     arrays = {"a": np.arange(5, dtype=np.int32), "b": np.array([0.5, -1.0])}
+    schema = {"a": (np.dtype(np.int32), "a"), "b": (np.dtype(np.float64), "b")}
     cache.store("thing", 3, "k1", arrays)
     assert sorted(p.name for p in empty_cache.iterdir()) == ["thing-v3-k1.npz"]
-    got = cache.load("thing", 3, "k1", lambda loaded: loaded)
+    got = cache.load("thing", 3, "k1", schema, lambda loaded: loaded)
     assert got.keys() == arrays.keys()
     for name, array in arrays.items():
         assert got[name].dtype == array.dtype and np.array_equal(got[name], array)
-    assert cache.load("thing", 3, "k2", lambda loaded: loaded) is None
-    assert cache.load("thing", 4, "k1", lambda loaded: loaded) is None
+    assert cache.load("thing", 3, "k2", schema, lambda loaded: loaded) is None
+    assert cache.load("thing", 4, "k1", schema, lambda loaded: loaded) is None
+
+
+ROWS = {"n": (np.dtype(np.int64), "rows"), "names": (cache.Texts, "rows")}
+
+
+def test_store_packs_texts_and_load_decodes_them(empty_cache):
+    cache.store("thing", 1, "k", {"n": np.arange(3), "names": cache.Texts.of(["a", "", "é"])})
+    with np.load(empty_cache / "thing-v1-k.npz") as entry:
+        assert entry.files == ["format", "key", "n", "names", "names_ends"]
+        assert entry["names"].tobytes() == "aé".encode()
+        assert entry["names_ends"].tolist() == [1, 1, 2]
+    got = cache.load("thing", 1, "k", ROWS, lambda values: values)
+    assert list(got) == ["n", "names"]
+    assert got["n"].tolist() == [0, 1, 2] and list(got["names"]) == ["a", "", "é"]
+
+
+@pytest.mark.parametrize("n", [None, np.array(2), np.arange(3).reshape(1, 3),
+                               np.arange(3, dtype=np.int32), np.arange(2)],
+                         ids=["missing", "0-d", "2-d", "other-dtype", "short"])
+def test_arrays_not_as_declared_read_as_a_miss(empty_cache, n):
+    values = {"n": n, "names": cache.Texts.of(["a", "", "é"])}
+    if n is None:
+        del values["n"]
+    cache.store("thing", 1, "k", values)
+    assert cache.load("thing", 1, "k", ROWS, lambda values: values) is None
 
 
 def test_entry_names_another_key_or_version(empty_cache):
     cache.store("thing", 3, "k1", {"a": np.arange(3)})
     entry = empty_cache / "thing-v3-k1.npz"
     entry.rename(empty_cache / "thing-v3-k2.npz")
-    assert cache.load("thing", 3, "k2", lambda loaded: loaded) is None
+    assert cache.load("thing", 3, "k2", A, lambda loaded: loaded) is None
     (empty_cache / "thing-v3-k2.npz").rename(empty_cache / "thing-v4-k1.npz")
-    assert cache.load("thing", 4, "k1", lambda loaded: loaded) is None
+    assert cache.load("thing", 4, "k1", A, lambda loaded: loaded) is None
 
 
 def test_build_errors_read_as_a_miss(empty_cache):
@@ -92,19 +119,19 @@ def test_build_errors_read_as_a_miss(empty_cache):
     for error in (ValueError, IndexError, KeyError):
         def build(arrays):
             raise error("malformed")
-        assert cache.load("thing", 1, "k", build) is None
+        assert cache.load("thing", 1, "k", A, build) is None
 
     def build(arrays):
         raise TypeError("a bug, not a malformed entry")
     with pytest.raises(TypeError):
-        cache.load("thing", 1, "k", build)
+        cache.load("thing", 1, "k", A, build)
 
 
 def test_single_array_file_reads_as_a_miss(empty_cache):
     empty_cache.mkdir(parents=True)
     np.save(empty_cache / "thing-v1-k.npy", np.arange(3))
     (empty_cache / "thing-v1-k.npy").rename(empty_cache / "thing-v1-k.npz")
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is None
 
 
 def test_cut_entries_read_as_a_miss(empty_cache):
@@ -113,9 +140,9 @@ def test_cut_entries_read_as_a_miss(empty_cache):
     data = entry.read_bytes()
     for size in sorted({0, 1, 4, 30, 64, 200, len(data) // 2, len(data) - 22, len(data) - 1}):
         entry.write_bytes(data[:size])
-        assert cache.load("thing", 1, "k", lambda loaded: loaded) is None, size
+        assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is None, size
     entry.write_bytes(b"\x00" * len(data))
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is None
 
 
 def _with_method(data: bytes, member: str, method: int, first_byte=None) -> bytes:
@@ -147,7 +174,7 @@ def test_damaged_compression_method_reads_as_a_miss(empty_cache, method, first_b
     cache.store("thing", 1, "k", {"a": np.arange(5000), "b": np.ones(7)})
     entry = empty_cache / "thing-v1-k.npz"
     entry.write_bytes(_with_method(entry.read_bytes(), "a.npy", method, first_byte))
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is None
 
 
 def test_store_deletes_entries_of_other_versions(empty_cache):
@@ -161,16 +188,16 @@ def test_store_deletes_entries_of_other_versions(empty_cache):
     cache.store("thing", 1, "k3", {"a": np.arange(3)})
     assert sorted(p.name for p in empty_cache.iterdir()) == [
         "notes.txt", "thing-v1-k3.npz", "thingy-v2-k1.npz"]
-    assert cache.load("thingy", 2, "k1", lambda loaded: loaded) is not None
+    assert cache.load("thingy", 2, "k1", A, lambda loaded: loaded) is not None
 
 
 def test_counts_hits_misses_and_writes(empty_cache, monkeypatch):
     monkeypatch.setattr(cache, "counts", Counter())
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is None
     cache.store("thing", 1, "k", {"a": np.arange(3)})
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is not None
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is not None
-    assert cache.load("thing", 1, "k", lambda loaded: None) is None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is not None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is not None
+    assert cache.load("thing", 1, "k", A, lambda loaded: None) is None
     assert cache.counts == {("thing", "miss"): 2, ("thing", "write"): 1, ("thing", "hit"): 2}
 
 
@@ -187,6 +214,6 @@ def test_failed_write_leaves_nothing(empty_cache, monkeypatch):
 def test_regular_file_at_cache_path_writes_nothing(empty_cache):
     empty_cache.write_bytes(b"not a directory")
     cache.store("thing", 1, "k", {"a": np.arange(3)})
-    assert cache.load("thing", 1, "k", lambda loaded: loaded) is None
+    assert cache.load("thing", 1, "k", A, lambda loaded: loaded) is None
     assert empty_cache.read_bytes() == b"not a directory"
     assert [p.name for p in empty_cache.parent.iterdir()] == ["kgqa"]

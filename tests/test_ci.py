@@ -85,6 +85,28 @@ def test_cold_and_warm_cache_runs_are_compared():
                                                       "gold_cache.json"]
 
 
+def test_damaged_cache_entry_falls_back():
+    """A toy run fills a job-temp cache of the step's own, a one-liner
+    replaces the snapshot entry's ``degrees`` with a 0-d array, and a second
+    run, which must read that entry as a miss, must write byte-identical
+    outputs. The cold and warm step keeps its own cache directory."""
+    step = _step("A damaged cache entry falls back")
+    home = r"XDG_CACHE_HOME:\s*\$\{\{\s*runner\.temp\s*\}\}/(\S+)"
+    own, cold = re.search(home, step), re.search(home, _step("Cold and warm cache runs agree"))
+    assert own and cold and own.group(1) != cold.group(1)
+    runs = list(re.finditer(r'PYTHONPATH=src python -m kgqa\.cli evaluate --toy --out "([^"]+)"',
+                            step))
+    assert len(runs) == 2 and runs[0].group(1) != runs[1].group(1)
+    damage = re.search(r"""^\s*python3 -c '(.+)' "\$XDG_CACHE_HOME"$""", step, re.M)
+    assert damage and runs[0].end() < damage.start() < runs[1].start()
+    assert "snapshot-*.npz" in damage.group(1)
+    assert 'a["degrees"] = np.array(3)' in damage.group(1)
+    compared = re.search(r'for f in ([^;]+); do cmp "([^"]+)/\$f" "([^"]+)/\$f"; done', step)
+    assert compared and compared.group(1).split() == ["report.csv", "trace.jsonl",
+                                                      "gold_cache.json"]
+    assert [compared.group(2), compared.group(3)] == [run.group(1) for run in runs]
+
+
 def _assert_benchmark_step(name, args):
     """The step runs perfbench with ``args`` in its own cache directory and
     fails unless the result line says correct with no failed question. The

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -416,6 +417,23 @@ class TestDeterminism:
             outputs.append([(out / name).read_bytes()
                             for name in ("report.csv", "trace.jsonl", "gold_cache.json")])
         assert outputs[0] == outputs[1]
+
+    def test_damaged_snapshot_entry_writes_the_same_bytes(self, runner, tmp_path, empty_cache):
+        """A snapshot entry whose ``degrees`` is not 1-d reads as a miss, so
+        the next run parses the files and rewrites the entry."""
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(runner, "evaluate", "--toy", "--out", str(first)).exit_code == 0
+        (entry,) = empty_cache.glob("snapshot-*.npz")
+        with np.load(entry) as loaded:
+            arrays = dict(loaded)
+        arrays["degrees"] = np.array(3)
+        with open(entry, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert run(runner, "evaluate", "--toy", "--out", str(again)).exit_code == 0
+        for name in ("report.csv", "trace.jsonl", "gold_cache.json"):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        with np.load(entry) as loaded:
+            assert loaded["degrees"].ndim == 1
 
     def test_augment_byte_identical(self, runner, tmp_path):
         blobs = []

@@ -697,6 +697,40 @@ def count_records():
     return sum(type(o) is EntityRecord for o in gc.get_objects())
 
 
+# What the generated damage cases do to one array of an entry. Another dtype
+# keeps the values, so that only the dtype check can tell.
+ARRAY_DAMAGES = {
+    "missing": None,
+    "0-d": lambda a: np.array(a[0]),
+    "2-d": lambda a: a.reshape(1, -1),
+    "other-dtype": lambda a: a.astype(np.float32 if a.dtype.kind == "f"
+                                      else np.int32 if a.dtype == np.int64 else np.int64),
+    "short": lambda a: a[:-1],
+}
+
+
+def stored_names(schema):
+    """The arrays an entry declared by ``schema`` holds, in order: a
+    ``Texts`` value as its bytes and its end offsets."""
+    return [stored for name, (dtype, _) in schema.items()
+            for stored in ((name, name + "_ends") if dtype is cache.Texts else (name,))]
+
+
+def declared_damages(schema):
+    """A ``(name, damage)`` case for every damage to every stored array."""
+    return [pytest.param((name, damage), id=f"{damage}-{name.replace('_', '-')}")
+            for name in stored_names(schema) for damage in ARRAY_DAMAGES]
+
+
+def damage_array(arrays, name, damage):
+    """Damage array ``name`` of an entry's ``arrays`` in place."""
+    assert len(arrays[name]), name  # else a damage could leave it as it was
+    if damage == "missing":
+        del arrays[name]
+    else:
+        arrays[name] = ARRAY_DAMAGES[damage](arrays[name])
+
+
 def damage_entry(path, how):
     if how == "truncated":
         data = path.read_bytes()
@@ -704,30 +738,22 @@ def damage_entry(path, how):
         return
     with np.load(path) as entry:
         arrays = dict(entry)
-    if how == "wrong-version":
+    if isinstance(how, tuple):
+        damage_array(arrays, *how)
+    elif how == "wrong-version":
         arrays["format"] = np.array(SNAPSHOT_FORMAT + 1)
     elif how == "wrong-key":
         arrays["key"] = np.array("0" * 40)
-    elif how == "short-degrees":
-        arrays["degrees"] = arrays["degrees"][:-1]
-    elif how == "short-column":
-        arrays["o"] = arrays["o"][:-1]
     elif how == "object-out-of-range":
         arrays["o"] = arrays["o"] + len(arrays["degrees"]) + 100
     elif how == "alias-counts":
         arrays["alias_counts"] = arrays["alias_counts"] + 1
-    elif how == "short-labels":
-        arrays["entity_label_ends"] = arrays["entity_label_ends"][:-1]
     elif how == "repeated-id":
         ids = cache.Texts.unpacked(arrays["entity_id"], arrays["entity_id_ends"])
         packed = cache.Texts.of([ids[0]] * len(ids)).packed()
         arrays["entity_id"], arrays["entity_id_ends"] = packed
-    elif how == "missing-array":
-        del arrays["literals"]
     elif how == "id-order-repeats":
         arrays["id_order"] = np.zeros_like(arrays["id_order"])
-    elif how == "id-order-wide":
-        arrays["id_order"] = arrays["id_order"].astype(np.int64)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -744,7 +770,9 @@ class TestSnapshotCache:
         files = (toy_data.toy_entity_file(), toy_data.toy_predicate_file(),
                  toy_data.toy_triple_file())
         text = load_snapshot(*files)
-        assert len(self.entries(empty_cache)) == 1
+        (entry,) = self.entries(empty_cache)
+        with np.load(entry) as arrays:
+            assert arrays.files == ["format", "key", *stored_names(kgstore._ARRAYS)]
         warm = warm_load(files, monkeypatch)
         assert_same_snapshot(text, warm)
         assert_pools(warm, list(text.triples), random.Random(1))
@@ -820,17 +848,19 @@ class TestSnapshotCache:
         assert [t.object for t in warm.triples] == [t[2] for t in triples] + [""]
 
     @pytest.mark.parametrize("how", ["truncated", "wrong-version", "wrong-key",
-                                     "short-degrees", "short-column", "object-out-of-range",
-                                     "alias-counts", "short-labels", "repeated-id",
-                                     "missing-array", "id-order-repeats", "id-order-wide"])
+                                     "object-out-of-range", "alias-counts", "repeated-id",
+                                     "id-order-repeats", *declared_damages(kgstore._ARRAYS)])
     def test_damaged_entry_falls_back_and_is_rewritten(self, snapshot_files, empty_cache,
                                                        monkeypatch, how):
         rows = random_rows(random.Random(29))
-        rows[0][0] = EntityRecord("Q1", "e1", "", ("x", "y"))
+        # Every array of the entry holds something, so every damage changes it.
+        rows[0][0] = EntityRecord("Q1", "e1", "d1", ("x", "y"))
+        rows[1][0] = PredicateRecord("P1", "p1", "r1")
         rows[2].append(("Q1", "P1", "lit"))
         files = write_rows(snapshot_files, *rows)
         text = load_snapshot(*files)
         (entry,) = self.entries(empty_cache)
+        written = entry.read_bytes()
         damage_entry(entry, how)
         parses = []
         real_parse = kgstore._parse
@@ -839,7 +869,7 @@ class TestSnapshotCache:
         again = load_snapshot(*files)
         assert parses == [1]
         assert_same_snapshot(text, again)
-        assert self.entries(empty_cache) == [entry]
+        assert self.entries(empty_cache) == [entry] and entry.read_bytes() == written
         assert_same_snapshot(text, warm_load(files, monkeypatch))
 
     def test_regular_file_at_cache_path(self, snapshot_files, empty_cache):

@@ -29,6 +29,7 @@ from kgqa.retrieval import (
     sweep,
     tokenize,
 )
+from test_kgstore import damage_array, declared_damages, stored_names
 
 
 def reference_rank(doc_tokens, query_tokens, k1, b, k):
@@ -384,20 +385,14 @@ def damage_index_entry(path, how):
         return
     with np.load(path) as entry:
         arrays = dict(entry)
-    if how == "wrong-version":
+    if isinstance(how, tuple):
+        damage_array(arrays, *how)
+    elif how == "wrong-version":
         arrays["format"] = np.array(retrieval.INDEX_FORMAT + 1)
-    elif how == "short-idf":
-        arrays["idf"] = arrays["idf"][:-1]
-    elif how == "short-doc-len":
-        arrays["doc_len"] = arrays["doc_len"][:-1]
     elif how == "doc-out-of-range":
         arrays["docs"] = arrays["docs"] + len(arrays["doc_len"])
     elif how == "decreasing-offsets":
         arrays["offsets"] = arrays["offsets"][::-1].copy()
-    elif how == "float-docs":
-        arrays["docs"] = arrays["docs"].astype(np.float64)
-    elif how == "short-terms":
-        arrays["terms_ends"] = arrays["terms_ends"][:-1]
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -434,6 +429,9 @@ class TestIndexCache:
                               warm.with_params(Bm25Params(0.7, 0.3)), self.QUERIES)
             assert_same_index(text, Bm25Index.build(records, params), self.QUERIES)
         assert len(list(empty_cache.glob("bm25-*.npz"))) == len(corpora)
+        for entry in empty_cache.glob("bm25-*.npz"):
+            with np.load(entry) as arrays:
+                assert arrays.files == ["format", "key", *stored_names(retrieval._ARRAYS)]
 
     def test_indexes_over_records_are_not_cached(self, toy_snapshot, empty_cache,
                                                  monkeypatch):
@@ -451,9 +449,8 @@ class TestIndexCache:
         assert list(empty_cache.glob("bm25-*.npz")) == []
         assert not [kind for kind, _ in cache.counts if kind == "bm25"]
 
-    @pytest.mark.parametrize("how", ["truncated", "wrong-version", "short-idf", "short-doc-len",
-                                     "doc-out-of-range", "decreasing-offsets", "float-docs",
-                                     "short-terms"])
+    @pytest.mark.parametrize("how", ["truncated", "wrong-version", "doc-out-of-range",
+                                     "decreasing-offsets", *declared_damages(retrieval._ARRAYS)])
     def test_damaged_entry_falls_back_and_is_rewritten(self, snapshot_files, empty_cache,
                                                        monkeypatch, how):
         records = random_records(random.Random(43), 60)
@@ -461,6 +458,7 @@ class TestIndexCache:
         params = Bm25Params(1.2, 0.75)
         text = Bm25Index.build(catalog, params)
         (entry,) = empty_cache.glob("bm25-*.npz")
+        written = entry.read_bytes()
         damage_index_entry(entry, how)
         calls = Counter()
         real = retrieval.tokenize
@@ -469,7 +467,7 @@ class TestIndexCache:
             again = Bm25Index.build(catalog, params)
         assert sum(calls.values()) == len(records)
         assert_same_index(text, again, self.QUERIES)
-        assert list(empty_cache.glob("bm25-*.npz")) == [entry]
+        assert list(empty_cache.glob("bm25-*.npz")) == [entry] and entry.read_bytes() == written
         assert_same_index(text, warm_build(catalog, params, monkeypatch), self.QUERIES)
 
     def test_regular_file_at_cache_path(self, snapshot_files, empty_cache):
