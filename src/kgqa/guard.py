@@ -1,20 +1,21 @@
 """Rejection machinery: ontology filtering plus execution-based checks.
 
 The pre-generation filter inspects the selected entity and predicate
-sets against the knowledge graph: if no selected entity touches any
-selected predicate (in either direction), generation is pointless and
-the question is rejected before the generator runs. A strict variant
-requires every entity to connect. After generation, parse failures,
-execution failures, and (policy permitting) empty results reject the
-query. A false ASK answer is an answer, not an empty result.
+sets against the knowledge graph, reading each entity's relations through
+``TripleTable.relations``: if no selected entity touches any selected
+predicate (in either direction), generation is pointless and the question
+is rejected before the generator runs. A strict variant requires every
+entity to connect. After generation, parse failures, execution failures,
+and (policy permitting) empty results reject the query. A false ASK
+answer is an answer, not an empty result.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from kgqa.errors import ExecutionError, GenerationError, QueryParseError
-from kgqa.kgstore import Snapshot, relation_profile_or_empty
+from kgqa.kgstore import Snapshot
 from kgqa.sparql.answers import AnswerSet
 
 STAGE_FILTER = "pre-generation-filter"
@@ -27,16 +28,16 @@ def check_entity_mismatch(snapshot: Snapshot, entities, predicates) -> bool:
     """True when no selected entity touches any selected predicate.
 
     One connected entity clears the whole set; empty entity or predicate
-    sets therefore stay mismatched (nothing can clear them).
+    sets therefore stay mismatched (nothing can clear them). An id outside
+    the catalog touches nothing.
     """
     predicate_set = set(predicates)
-    mismatch = True
+    relations = snapshot.triples.relations
     for entity in entities:
-        profile = relation_profile_or_empty(snapshot, entity)
-        if (profile.incoming | profile.outgoing) & predicate_set:
-            mismatch = False
-            break
-    return mismatch
+        profile = relations(entity)
+        if profile is not None and (profile.incoming | profile.outgoing) & predicate_set:
+            return False
+    return True
 
 
 def strict_check_entity_mismatch(snapshot: Snapshot, entities, predicates) -> bool:
@@ -45,9 +46,10 @@ def strict_check_entity_mismatch(snapshot: Snapshot, entities, predicates) -> bo
     predicate_set = set(predicates)
     if not entities or not predicate_set:
         return True
+    relations = snapshot.triples.relations
     for entity in entities:
-        profile = relation_profile_or_empty(snapshot, entity)
-        if not (profile.incoming | profile.outgoing) & predicate_set:
+        profile = relations(entity)
+        if profile is None or not (profile.incoming | profile.outgoing) & predicate_set:
             return True
     return False
 
@@ -76,43 +78,39 @@ class GuardVerdict:
     answers: Optional[AnswerSet] = None
 
 
-@dataclass
-class GuardContext:
-    snapshot: Snapshot
-    entities: set[str]
-    predicates: set[str]
-    query: Union[str, Callable[[], str]]  # callable runs only after the filter passes
-    executor: object  # .run(query_text) -> AnswerSet
-    policy: GuardPolicy = field(default_factory=GuardPolicy)
+def guard_pipeline(snapshot: Snapshot, entities: set[str], predicates: set[str],
+                   query: Union[str, Callable[[], str]], executor,
+                   policy: GuardPolicy = GuardPolicy()) -> GuardVerdict:
+    """Apply the configured stages in order; failures become verdicts.
 
-
-def guard_pipeline(ctx: GuardContext) -> GuardVerdict:
-    """Apply the configured stages in order; failures become verdicts."""
-    checker = FILTER_CHECKERS.get(ctx.policy.filter)
-    if checker is not None and checker(ctx.snapshot, ctx.entities, ctx.predicates):
+    A callable ``query`` runs only after the filter passes; ``executor.run``
+    takes the query text and returns an AnswerSet.
+    """
+    checker = FILTER_CHECKERS.get(policy.filter)
+    if checker is not None and checker(snapshot, entities, predicates):
         return GuardVerdict(
             accepted=False, stage=STAGE_FILTER,
             detail=(f"no selected entity relates to the selected predicates "
-                    f"(entities={sorted(ctx.entities)}, "
-                    f"predicates={sorted(ctx.predicates)})"),
+                    f"(entities={sorted(entities)}, "
+                    f"predicates={sorted(predicates)})"),
         )
-    if callable(ctx.query):
+    if callable(query):
         try:
-            query_text = ctx.query()
+            query_text = query()
         except GenerationError as exc:
             return GuardVerdict(accepted=False, stage=STAGE_PARSE,
                                 detail=f"no query generated: {exc}")
     else:
-        query_text = ctx.query
+        query_text = query
     try:
-        answers = ctx.executor.run(query_text)
+        answers = executor.run(query_text)
     except QueryParseError as exc:
         return GuardVerdict(accepted=False, stage=STAGE_PARSE, detail=str(exc),
                             query_text=query_text)
     except ExecutionError as exc:
         return GuardVerdict(accepted=False, stage=STAGE_EXECUTION_ERROR,
                             detail=str(exc), query_text=query_text)
-    if ctx.policy.execution and not answers.terms:
+    if policy.execution and not answers.terms:
         return GuardVerdict(accepted=False, stage=STAGE_EMPTY,
                             detail="query returned no results",
                             query_text=query_text, answers=answers)

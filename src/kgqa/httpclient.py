@@ -11,6 +11,7 @@ attempts all fail raises the last error.
 backends are all local never imports it.
 """
 
+import math
 import threading
 import time
 
@@ -19,6 +20,9 @@ from kgqa.errors import ConfigError, KgqaError
 
 def check_settings(cfg):
     """Reject settings that would hang or crash at call time."""
+    for name in ("timeout", "backoff_base"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite")
     if cfg.timeout <= 0:
         raise ConfigError("timeout must be > 0")
     if cfg.max_retries < 0:

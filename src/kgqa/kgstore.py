@@ -27,7 +27,7 @@ and kept: an entity's record on the first lookup of its id, a row's
 ``Triple`` the first time a match pool or a read of ``Snapshot.triples``
 reaches it (one object per row, shared by every pool), a key's match pool
 on its first ``match``, and an entity's relation profile on its first
-lookup.
+``TripleTable.relations`` lookup, the one read of an entity's relations.
 ``len(snapshot.triples)`` builds nothing.
 
 A load digests the bytes of its three input files (blake2b). A snapshot
@@ -97,19 +97,20 @@ class EntityRelationProfile:
     outgoing: frozenset[str]
 
 
-_EMPTY = frozenset()
 _SUBJECT, _PREDICATE, _OBJECT = range(3)  # column positions
 SNAPSHOT_FORMAT = 2  # version of the cache entry; see the module docstring
 
 
 class TripleTable(Sequence):
     """The deduplicated triples as integer columns, in order of first
-    occurrence; a read-only sequence of ``Triple``.
+    occurrence; a read-only sequence of ``Triple`` that also reads each
+    catalog entity's relations (``relations``).
 
     Term ids index ``terms`` (entities, then literals) and predicate ids
-    ``predicate_names``. ``len()`` builds nothing; a row's ``Triple`` is
-    built on its first read and then shared. Nothing here refers to the
-    snapshot, so a dropped snapshot is freed without the cyclic collector.
+    ``predicate_names``. ``len()`` builds nothing; a row's ``Triple`` and an
+    entity's relation profile are built on their first read and then kept.
+    Nothing here refers to the snapshot, and no profile to the table, so a
+    dropped snapshot is freed without the cyclic collector.
     """
 
     def __init__(self, columns, terms, predicate_names, key_ids, literal_ids):
@@ -125,8 +126,7 @@ class TripleTable(Sequence):
                        _csr(p, len(predicate_names)), _csr(o, len(terms)))
         self._cache = [None] * len(s)  # row -> Triple once built
         self._lock = threading.Lock()  # guards _cache
-        # Equal predicate sets are one object, shared by every profile holding it.
-        self._interned = {_EMPTY: _EMPTY}
+        self._profiles = {}  # entity id -> EntityRelationProfile once built
 
     def __len__(self):
         return len(self._cache)
@@ -176,23 +176,24 @@ class TripleTable(Sequence):
             return None
         return self._triples(self._rows(position, key_id).tolist())
 
-    def _profile(self, entity):
-        """The relation profile of a catalog entity; None for any other id."""
-        eid = self._key_ids[_SUBJECT].get(entity)
-        if eid is None:
-            return None
-        _, p, o = self._columns
-        # Only an entity object has incoming rows: any other object id is a
-        # literal's. A self-loop (e, r, e) counts r as incoming only.
-        out = self._rows(_SUBJECT, eid)
-        return EntityRelationProfile(self._terms[eid],
-                                     self._predicate_set(p[self._rows(_OBJECT, eid)]),
-                                     self._predicate_set(p[out[o[out] != eid]]))
-
-    def _predicate_set(self, ids):
-        names = self._predicate_names
-        preds = frozenset(map(names.__getitem__, set(ids.tolist())))
-        return self._interned.setdefault(preds, preds)
+    def relations(self, entity) -> Optional[EntityRelationProfile]:
+        """The relation profile of a catalog entity, built on its first
+        lookup and kept; None for any other id."""
+        profile = self._profiles.get(entity)
+        if profile is None:
+            eid = self._key_ids[_SUBJECT].get(entity)
+            if eid is None:
+                return None
+            _, p, o = self._columns
+            name = self._predicate_names.__getitem__
+            # Only an entity object has incoming rows: any other object id is
+            # a literal's. A self-loop (e, r, e) counts r as incoming only.
+            out = self._rows(_SUBJECT, eid)
+            profile = self._profiles.setdefault(entity, EntityRelationProfile(
+                self._terms[eid],
+                frozenset(map(name, set(p[self._rows(_OBJECT, eid)].tolist()))),
+                frozenset(map(name, set(p[out[o[out] != eid]].tolist())))))
+        return profile
 
 
 class _Pools(dict):
@@ -206,39 +207,6 @@ class _Pools(dict):
     def __missing__(self, key):
         pool = self._table._pool(self._position, key)
         return () if pool is None else self.setdefault(key, pool)
-
-
-class _Profiles(Mapping):
-    """Read-only mapping of catalog entity ids, in catalog order, to their
-    relation profiles; each built on its first lookup and kept."""
-
-    def __init__(self, table):
-        self._table = table
-        self._memo = {}
-
-    def get(self, entity, default=None):
-        profile = self._memo.get(entity)
-        if profile is None:
-            profile = self._table._profile(entity)
-            if profile is None:
-                return default
-            profile = self._memo.setdefault(entity, profile)
-        return profile
-
-    def __getitem__(self, entity):
-        profile = self.get(entity)
-        if profile is None:
-            raise KeyError(entity)
-        return profile
-
-    def __contains__(self, entity):
-        return entity in self._table._key_ids[_SUBJECT]
-
-    def __iter__(self):
-        return iter(self._table._key_ids[_SUBJECT])
-
-    def __len__(self):
-        return len(self._table._key_ids[_SUBJECT])
 
 
 class EntityCatalog(Mapping):
@@ -354,14 +322,13 @@ class _Subset(Mapping):
 @dataclass(frozen=True, eq=False)
 class Snapshot:
     """Loaded knowledge graph; read-only. ``entities`` is a mapping view of
-    the catalog columns, ``triples`` a sequence view of the triple columns
-    and ``profiles`` a mapping view; the ``_by_*`` pools fill as ``match``
-    first uses each key."""
+    the catalog columns and ``triples`` a sequence view of the triple
+    columns that also reads relation profiles; the ``_by_*`` pools fill as
+    ``match`` first uses each key."""
 
     entities: EntityCatalog
     predicates: dict[str, PredicateRecord]
     triples: TripleTable
-    profiles: Mapping[str, EntityRelationProfile]
     _by_subject: dict[str, tuple[Triple, ...]] = field(repr=False)
     _by_object: dict[str, tuple[Triple, ...]] = field(repr=False)
     _by_predicate: dict[str, tuple[Triple, ...]] = field(repr=False)
@@ -643,7 +610,6 @@ def _assemble(columns, entities: EntityCatalog, predicates, predicate_ids,
         entities=entities,
         predicates=predicates,
         triples=table,
-        profiles=_Profiles(table),
         _by_subject=_Pools(table, _SUBJECT),
         _by_object=_Pools(table, _OBJECT),
         _by_predicate=_Pools(table, _PREDICATE),
@@ -750,17 +716,9 @@ def _csr(keys, size):
 
 def get_entity_relations(snapshot: Snapshot, entity_id: str) -> EntityRelationProfile:
     """Incoming/outgoing predicate sets for one catalog entity."""
-    profile = snapshot.profiles.get(entity_id)
+    profile = snapshot.triples.relations(entity_id)
     if profile is None:
         raise NotFoundError(f"unknown entity id {entity_id}")
-    return profile
-
-
-def relation_profile_or_empty(snapshot: Snapshot, entity_id: str) -> EntityRelationProfile:
-    """Like get_entity_relations but mapping unknown ids to empty profiles."""
-    profile = snapshot.profiles.get(entity_id)
-    if profile is None:
-        return EntityRelationProfile(entity_id, _EMPTY, _EMPTY)
     return profile
 
 

@@ -20,7 +20,6 @@ from kgqa.disambiguation import RemoteReasoner, disambiguate
 from kgqa.errors import KgqaError
 from kgqa.generation import GenerationRequest, GoldPassthrough, generate
 from kgqa.guard import (
-    GuardContext,
     GuardPolicy,
     GuardVerdict,
     check_entity_mismatch,
@@ -193,14 +192,9 @@ def run_example(example, cfg: PipelineConfig) -> PipelineOutcome:
         )
         return generate(request, cfg.generator).query_text
 
-    verdict = guard_pipeline(GuardContext(
-        snapshot=cfg.snapshot,
-        entities=set(entity_sel.selected),
-        predicates=set(predicate_sel.selected),
-        query=generate_query,
-        executor=executor,
-        policy=cfg.policy,
-    ))
+    verdict = guard_pipeline(cfg.snapshot, set(entity_sel.selected),
+                             set(predicate_sel.selected), generate_query, executor,
+                             cfg.policy)
     outcome.verdict = replace(verdict, answers=None)
     outcome.query_text = verdict.query_text
     predicted = verdict.answers if verdict.accepted else AnswerSet.empty()
@@ -276,7 +270,7 @@ def build_rejection_suite(examples, snapshot, fraction: float = 0.5,
 def _disconnected_predicate(snapshot, entity_ids) -> Optional[str]:
     touched = set()
     for eid in entity_ids:
-        profile = snapshot.profiles.get(eid)
+        profile = snapshot.triples.relations(eid)
         if profile is not None:
             touched |= profile.incoming | profile.outgoing
     for pid in sorted(snapshot.predicates):

@@ -73,6 +73,8 @@ class Bm25Params:
     b: float
 
     def __post_init__(self):
+        if not math.isfinite(self.k1):
+            raise ValueError(f"k1 must be finite, got {self.k1}")
         if self.k1 < 0:
             raise ValueError(f"k1 must be >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:

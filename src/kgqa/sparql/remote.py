@@ -10,6 +10,7 @@ have the SPARQL JSON shape is a ``RemoteExecutionError``.
 """
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ class EndpointConfig:
 
     def __post_init__(self):
         check_settings(self)
+        if not math.isfinite(self.politeness_delay):
+            raise ConfigError("politeness_delay must be finite")
         if self.politeness_delay < 0:
             raise ConfigError("politeness_delay must be >= 0")
 

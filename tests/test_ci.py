@@ -72,7 +72,9 @@ def test_cold_and_warm_cache_runs_are_compared():
     """Two `evaluate --toy` runs in fresh processes share a job-temp cache,
     the first filling it and the second reading it, and their outputs must
     be byte-identical. Between them the step checks that the cold run wrote
-    a snapshot entry and exactly one index entry."""
+    a snapshot entry and exactly one index entry. Two `reject-report --toy`
+    runs, which read every case's relations, do the same over a cache
+    directory of their own, so that the first of them is cold too."""
     step = _step("Cold and warm cache runs agree")
     assert re.search(r"XDG_CACHE_HOME:\s*\$\{\{\s*runner\.temp\s*\}\}/", step)
     runs = re.findall(r'PYTHONPATH=src python -m kgqa\.cli evaluate --toy --out "([^"]+)"', step)
@@ -80,9 +82,15 @@ def test_cold_and_warm_cache_runs_are_compared():
     assert re.search(r"^\s*ls \S*kgqa/snapshot-\*\.npz$", step, re.M)
     # The cold run caches one index, the entity index; the predicate index is not cached.
     assert re.search(r'^\s*test "\$\(ls \S*kgqa/bm25-\*\.npz \| wc -l\)" -eq 1$', step, re.M)
-    compared = re.search(r"for f in ([^;]+); do cmp ", step)
-    assert compared and compared.group(1).split() == ["report.csv", "trace.jsonl",
-                                                      "gold_cache.json"]
+    rejects = re.findall(r'XDG_CACHE_HOME="([^"]+)" PYTHONPATH=src python -m kgqa\.cli '
+                         r'reject-report --toy --out "([^"]+)"', step)
+    assert len(rejects) == 2 and rejects[0][0] == rejects[1][0], rejects
+    assert rejects[0][1] != rejects[1][1]
+    assert re.search(r"^\s*ls \S*kgqa-reject-cache/kgqa/snapshot-\*\.npz$", step, re.M)
+    compared = re.findall(r"for f in ([^;]+); do cmp ", step)
+    assert [files.split() for files in compared] == [
+        ["report.csv", "trace.jsonl", "gold_cache.json"],
+        ["rejection_report.csv", "rejection_trace.jsonl"]]
 
 
 def test_damaged_cache_entry_falls_back():

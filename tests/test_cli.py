@@ -109,7 +109,9 @@ class TestIndexCommands:
         (["--b", "0:2:0.5"], "b must be in [0, 1], got 1.5"),
         (["--k1", "-1:1:0.5"], "k1 must be >= 0, got -1.0"),
         (["--k1", "2:1:0.5"], "grids must not be empty"),
-    ], ids=["b-above-one", "negative-k1", "empty-grid"])
+        (["--k1", "nan,1"], "k1 must be finite, got nan"),
+        (["--k1", "1,inf"], "k1 must be finite, got inf"),
+    ], ids=["b-above-one", "negative-k1", "empty-grid", "nan-k1", "inf-k1"])
     def test_bad_grid_exits_before_loading(self, runner, tmp_path, monkeypatch, grid,
                                            message):
         def no_load(*args):
@@ -297,6 +299,27 @@ class TestExitCodes:
             "--out", str(tmp_path / "o")])
         assert result.exit_code == 4
         assert "kind=DisambiguationError" in result.output
+
+    # Before the check, a k1 of nan or inf ran and rejected every question,
+    # and an infinite timeout died with an OverflowError traceback (exit 1).
+    @pytest.mark.parametrize("args, config, message", [
+        (["evaluate", "--toy", "--k1", "nan"], None, "k1 must be finite"),
+        (["evaluate", "--toy", "--k1", "inf"], None, "k1 must be finite"),
+        (["evaluate", "--toy"], '{"k1": NaN}', "k1 must be finite"),
+        (["execute", "--executor", "remote", "--endpoint", "http://127.0.0.1:1/",
+          "--query", "ASK { wd:Q1 wdt:P1 wd:Q2 }", "--timeout", "inf"], None,
+         "timeout must be finite"),
+    ], ids=["nan-k1", "inf-k1", "nan-k1-config", "inf-timeout"])
+    def test_non_finite_setting_is_config_error(self, runner, tmp_path, args, config,
+                                                message):
+        if config is not None:
+            (tmp_path / "config.json").write_text(config, encoding="utf-8")
+            args = [*args, "--config", str(tmp_path / "config.json")]
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
 
     def test_truncated_results_are_service_error(self, runner, tmp_path, fake_server):
         fake_server.inject_fault("truncated-json")

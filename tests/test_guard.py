@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 from kgqa.errors import ExecutionError, GenerationError
 from kgqa.guard import (
-    GuardContext,
     GuardPolicy,
     check_entity_mismatch,
     guard_pipeline,
@@ -16,8 +15,11 @@ from kgqa.kgstore import EntityRecord, PredicateRecord, snapshot_from_records
 from kgqa.sparql import LocalExecutor
 
 
-def brute_force_mismatch(triples, entities, predicates):
-    """Oracle: explicit double loop, full triple scan per entity."""
+def brute_force_mismatch(triples, entities, predicates, strict=False):
+    """Oracle: explicit double loop, full triple scan per entity. The
+    relaxed check fails unless some entity touches a predicate, the strict
+    one unless there are entities and every one of them does."""
+    touches = []
     for entity in entities:
         incoming, outgoing = set(), set()
         for s, r, o in triples:
@@ -25,9 +27,10 @@ def brute_force_mismatch(triples, entities, predicates):
                 incoming.add(r)
             elif s == entity:
                 outgoing.add(r)
-        if (incoming | outgoing) & set(predicates):
-            return False
-    return True
+        touches.append(bool((incoming | outgoing) & set(predicates)))
+    if strict:
+        return not (touches and all(touches))
+    return not any(touches)
 
 
 def make_snapshot(triples, extra_entities=(), extra_predicates=()):
@@ -74,12 +77,15 @@ class TestCheckEntityMismatch:
                 for _ in range(rng.randint(0, 100))
             })
             snap = make_snapshot(triples, entities, predicates)
-            picked_entities = set(rng.sample(entities,
-                                             rng.randint(0, min(4, len(entities)))))
+            # Q99 is outside the catalog and touches nothing.
+            pool = [*entities, "Q99"]
+            picked_entities = set(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
             picked_predicates = set(rng.sample(predicates,
                                                rng.randint(0, len(predicates))))
-            assert check_entity_mismatch(snap, picked_entities, picked_predicates) \
-                == brute_force_mismatch(triples, picked_entities, picked_predicates)
+            for checker, strict in ((check_entity_mismatch, False),
+                                    (strict_check_entity_mismatch, True)):
+                assert checker(snap, picked_entities, picked_predicates) == \
+                    brute_force_mismatch(triples, picked_entities, picked_predicates, strict)
 
     def test_monotone_under_triple_addition(self):
         rng = random.Random(777)
@@ -155,57 +161,57 @@ class TestGuardPipeline:
             calls.append(1)
             return "SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }"
 
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q1"}, predicates={"P9"},
             query=generator, executor=LocalExecutor(snap),
-            policy=GuardPolicy(filter="alg1", execution=True)))
+            policy=GuardPolicy(filter="alg1", execution=True))
         assert not verdict.accepted
         assert verdict.stage == "pre-generation-filter"
         assert calls == []  # generator never invoked
 
     def test_empty_result_rejected(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q2"}, predicates={"P1"},
             query="SELECT ?x WHERE { wd:Q2 wdt:P1 ?x }",
-            executor=LocalExecutor(snap), policy=GuardPolicy()))
+            executor=LocalExecutor(snap), policy=GuardPolicy())
         assert not verdict.accepted
         assert verdict.stage == "empty-result"
 
     def test_happy_path_accepted(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q1"}, predicates={"P1"},
             query="SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
-            executor=LocalExecutor(snap), policy=GuardPolicy()))
+            executor=LocalExecutor(snap), policy=GuardPolicy())
         assert verdict.accepted
         assert verdict.stage == "accepted"
         assert verdict.answers.terms == {"Q2"}
 
     def test_ask_false_is_an_answer(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q1"}, predicates={"P1"},
             query="ASK { wd:Q2 wdt:P1 wd:Q1 }",
-            executor=LocalExecutor(snap), policy=GuardPolicy()))
+            executor=LocalExecutor(snap), policy=GuardPolicy())
         assert verdict.accepted
         assert verdict.answers.truth is False
 
     def test_parse_failure_stage(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q1"}, predicates={"P1"},
             query="SELECT ?x WHERE { FILTER(?x) }",
-            executor=LocalExecutor(snap), policy=GuardPolicy()))
+            executor=LocalExecutor(snap), policy=GuardPolicy())
         assert verdict.stage == "parse"
         assert "unsupported-construct" in verdict.detail
 
     def test_execution_error_stage(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q1"}, predicates={"P1"},
             query="SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }",
-            executor=_FailingExecutor(), policy=GuardPolicy()))
+            executor=_FailingExecutor(), policy=GuardPolicy())
         assert verdict.stage == "execution-error"
 
     def test_generation_failure_becomes_verdict(self):
@@ -214,30 +220,30 @@ class TestGuardPipeline:
         def generator():
             raise GenerationError("insufficient candidates")
 
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities={"Q1"}, predicates={"P1"},
-            query=generator, executor=LocalExecutor(snap), policy=GuardPolicy()))
+            query=generator, executor=LocalExecutor(snap), policy=GuardPolicy())
         assert not verdict.accepted
         assert verdict.stage == "parse"
         assert "insufficient candidates" in verdict.detail
 
     def test_all_policies_off_accepts_empty(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities=set(), predicates=set(),
             query="SELECT ?x WHERE { wd:Q2 wdt:P1 ?x }",
             executor=LocalExecutor(snap),
-            policy=GuardPolicy(filter="off", execution=False)))
+            policy=GuardPolicy(filter="off", execution=False))
         assert verdict.accepted
         assert verdict.answers.terms == set()
 
     def test_all_policies_off_still_requires_parse(self):
         snap = self._snapshot()
-        verdict = guard_pipeline(GuardContext(
+        verdict = guard_pipeline(
             snapshot=snap, entities=set(), predicates=set(),
             query="not sparql at all",
             executor=LocalExecutor(snap),
-            policy=GuardPolicy(filter="off", execution=False)))
+            policy=GuardPolicy(filter="off", execution=False))
         assert not verdict.accepted
         assert verdict.stage == "parse"
 
@@ -246,10 +252,8 @@ class TestGuardPipeline:
         context = dict(
             snapshot=snap, entities={"Q1", "Q3"}, predicates={"P9"},
             query="ASK { wd:Q3 wdt:P9 wd:Q4 }", executor=LocalExecutor(snap))
-        relaxed = guard_pipeline(GuardContext(
-            **context, policy=GuardPolicy(filter="alg1")))
-        strict = guard_pipeline(GuardContext(
-            **context, policy=GuardPolicy(filter="strict")))
+        relaxed = guard_pipeline(**context, policy=GuardPolicy(filter="alg1"))
+        strict = guard_pipeline(**context, policy=GuardPolicy(filter="strict"))
         assert relaxed.accepted
         assert not strict.accepted
 
@@ -257,9 +261,9 @@ class TestGuardPipeline:
         snap = self._snapshot()
         for policy in (GuardPolicy(), GuardPolicy(filter="off", execution=False)):
             for query in ("SELECT ?x WHERE { wd:Q1 wdt:P1 ?x }", "garbage"):
-                verdict = guard_pipeline(GuardContext(
+                verdict = guard_pipeline(
                     snapshot=snap, entities={"Q1"}, predicates={"P1"},
-                    query=query, executor=LocalExecutor(snap), policy=policy))
+                    query=query, executor=LocalExecutor(snap), policy=policy)
                 assert verdict.accepted == (verdict.stage == "accepted")
 
 

@@ -24,9 +24,13 @@ from kgqa.kgstore import (
     load_snapshot,
     prune_by_degree,
     read_jsonl,
-    relation_profile_or_empty,
     snapshot_from_records,
 )
+
+
+def profiles(snap):
+    """The relation profile of every catalog entity, in catalog order."""
+    return [get_entity_relations(snap, e) for e in snap.entities]
 
 
 def brute_force_profile(triples, entity):
@@ -48,15 +52,15 @@ class TestLoadSnapshot:
             [("Q1", "P1", "Q2")],
         )
         snap = load_snapshot(*files)
-        assert snap.profiles["Q2"].incoming == {"P1"}
-        assert snap.profiles["Q2"].outgoing == set()
+        assert get_entity_relations(snap, "Q2").incoming == {"P1"}
+        assert get_entity_relations(snap, "Q2").outgoing == set()
         assert snap.entities["Q1"].degree == 1
 
     def test_empty_triple_file(self, snapshot_files):
         files = snapshot_files([("Q1", "one"), ("Q2", "two")], [("P1", "rel")], [])
         snap = load_snapshot(*files)
         assert all(rec.degree == 0 for rec in snap.entities.values())
-        assert all(not p.incoming and not p.outgoing for p in snap.profiles.values())
+        assert all(not p.incoming and not p.outgoing for p in profiles(snap))
 
     def test_unknown_predicate_is_named_with_line(self, snapshot_files):
         files = snapshot_files(
@@ -273,7 +277,7 @@ class TestLoadSnapshot:
         a = load_snapshot(*files)
         b = load_snapshot(*files)
         assert a.triples == b.triples
-        assert a.profiles == b.profiles
+        assert profiles(a) == profiles(b)
         assert a.entities == b.entities
 
 
@@ -308,7 +312,7 @@ def snapshot_reads(snap, drop=()):
     return {
         "entities": [(e, r) for e, r in snap.entities.items() if e not in drop],
         "predicates": list(snap.predicates.items()),
-        "profiles": [(e, p) for e, p in snap.profiles.items() if e not in drop],
+        "profiles": [p for p in profiles(snap) if p.entity not in drop],
         "triples": triples,
         "by_subject": [snap.match(s=e) for e in snap.entities if e not in drop],
         "by_object": [snap.match(o=o) for o in dict.fromkeys(t.object for t in triples)],
@@ -341,15 +345,6 @@ def assert_pools(snap, expected, rng):
     assert all(seen[t] is t for t in snap.triples)
 
 
-def assert_profile_sets_shared(snap):
-    """Equal predicate sets are one object: as many objects as distinct sets."""
-    sets = [s for p in snap.profiles.values() for s in (p.incoming, p.outgoing)]
-    first = {}
-    for s in sets:
-        assert first.setdefault(s, s) is s, sorted(s)
-    assert len({id(s) for s in sets}) == len(set(sets))
-
-
 class TestLoaderEquivalence:
     def test_load_equals_records_on_random_graphs(self, snapshot_files):
         rng = random.Random(11)
@@ -361,12 +356,10 @@ class TestLoaderEquivalence:
             assert_pools(loaded, unique, rng)
             assert_pools(built, unique, rng)
             assert_same_snapshot(loaded, built)
-            assert_profile_sets_shared(loaded)
-            assert_profile_sets_shared(built)
             for rec in entities:
                 expected_in, expected_out = brute_force_profile(triples, rec.id)
-                assert loaded.profiles[rec.id].incoming == expected_in
-                assert loaded.profiles[rec.id].outgoing == expected_out
+                profile = get_entity_relations(loaded, rec.id)
+                assert (profile.incoming, profile.outgoing) == (expected_in, expected_out)
                 assert loaded.entities[rec.id].degree == len(expected_in | expected_out)
             objects = {t[2] for t in triples} | {"Q99", "absent"}
             for s in [None, *loaded.entities]:
@@ -536,30 +529,14 @@ class TestLoaderEquivalence:
         built = snapshot_from_records(*rows)
         assert_same_snapshot(loaded, built)
         for snap in (loaded, built):
-            assert_profile_sets_shared(snap)
             assert len(snap.triples) == 6
-            profiles = {e: (p.incoming, p.outgoing) for e, p in snap.profiles.items()}
-            assert profiles == {"Q1": ({"P1", "P2"}, {"P1"}),
+            sets = {p.entity: (p.incoming, p.outgoing) for p in profiles(snap)}
+            assert sets == {"Q1": ({"P1", "P2"}, {"P1"}),
                                 "Q2": ({"P1", "P3"}, {"P2", "P3"}),
                                 "Q3": ({"P3"}, set())}
-            for e, (inc, out) in profiles.items():
+            for e, (inc, out) in sets.items():
                 assert (inc, out) == brute_force_profile(rows[2], e)
                 assert snap.entities[e].degree == len(inc | out)
-
-    def test_equal_sets_shared_across_directions_and_kinds(self, snapshot_files):
-        rows = ([EntityRecord("Q1", "a"), EntityRecord("Q2", "b"), EntityRecord("Q3", "c")],
-                [PredicateRecord("P1", "r")], [("Q1", "P1", "Q2"), ("Q3", "P1", "lit")])
-        for snap in (load_snapshot(*write_rows(snapshot_files, *rows)),
-                     snapshot_from_records(*rows)):
-            p1 = snap.profiles["Q1"].outgoing
-            assert snap.profiles["Q2"].incoming is p1
-            assert snap.profiles["Q3"].outgoing is p1
-            empty = relation_profile_or_empty(snap, "Q404").incoming
-            assert snap.profiles["Q1"].incoming is empty
-            assert snap.profiles["Q2"].outgoing is empty
-
-    def test_profile_sets_shared_on_toy_graph(self, toy_snapshot):
-        assert_profile_sets_shared(toy_snapshot)
 
 
 class TestBuiltOnFirstUse:
@@ -580,8 +557,8 @@ class TestBuiltOnFirstUse:
         snap = build()
         list(snap.triples)
         snap.match(s="Q1"), snap.match(o="lit"), snap.match(p="P1"), snap.match(s="Q404")
-        list(snap.profiles.values()), snap.profiles.get("Q404")
-        refs = [weakref.ref(x) for x in (snap, snap.triples, snap.profiles, snap._by_object)]
+        profiles(snap), snap.triples.relations("Q404")
+        refs = [weakref.ref(x) for x in (snap, snap.triples, snap._by_object)]
         gc.disable()
         try:
             del snap
@@ -606,14 +583,16 @@ class TestBuiltOnFirstUse:
     def test_unknown_ids_get_nothing_and_are_not_kept(self, snap):
         for key in ("Q1", "P1", "lit"):
             snap.match(s=key), snap.match(o=key), snap.match(p=key)
-        snap.profiles.get("Q1")
-        memos = (snap._by_subject, snap._by_object, snap._by_predicate, snap.profiles._memo)
+        profile = snap.triples.relations("Q1")
+        assert snap.triples.relations("Q1") is profile is get_entity_relations(snap, "Q1")
+        memos = (snap._by_subject, snap._by_object, snap._by_predicate, snap.triples._profiles)
         sizes = [len(memo) for memo in memos]
         for key in ("Q404", "P404", "absent", "lit2", ""):
             assert snap.match(s=key) == snap.match(o=key) == snap.match(p=key) == ()
-            assert snap.profiles.get(key) is None and key not in snap.profiles
-            with pytest.raises(KeyError):
-                snap.profiles[key]
+        for key in ("Q404", "P1", "lit", ""):
+            assert snap.triples.relations(key) is None
+            with pytest.raises(NotFoundError):
+                get_entity_relations(snap, key)
         assert snap.match(s="lit") == snap.match(s="P1") == snap.match(p="Q1") == ()
         assert [len(memo) for memo in memos] == sizes
 
@@ -632,7 +611,7 @@ class TestBuiltOnFirstUse:
 
         def read(target, kind, key):
             if kind == "profile":
-                return target.profiles[key]
+                return target.triples.relations(key)
             if kind == "entity":
                 return target.entities[key]
             return target.match(**{kind: key})
@@ -777,7 +756,6 @@ class TestSnapshotCache:
         assert_same_snapshot(text, warm)
         assert_pools(warm, list(text.triples), random.Random(1))
         assert_holds_catalog_id_strings(warm)
-        assert_profile_sets_shared(warm)
         assert prune_by_degree(warm, 3) == prune_by_degree(text, 3)
 
     def test_warm_load_equals_text_load_on_random_graphs(self, snapshot_files, empty_cache,
@@ -793,7 +771,6 @@ class TestSnapshotCache:
             assert_same_snapshot(built, warm)
             assert_pools(warm, list(dict.fromkeys(Triple(*t) for t in triples)), rng)
             assert_holds_catalog_id_strings(warm)
-            assert_profile_sets_shared(warm)
 
     def test_warm_records_equal_parsed_records_in_catalog_order(self, snapshot_files,
                                                                 empty_cache, monkeypatch):

@@ -30,6 +30,8 @@ def test_config_validation():
     ("max_in_flight", 0, "max_in_flight must be >= 1"),
     ("max_in_flight", -1, "max_in_flight must be >= 1"),
     ("backoff_base", -0.5, "backoff_base must be >= 0"),
+    ("backoff_base", float("inf"), "backoff_base must be finite"),
+    ("timeout", float("nan"), "timeout must be finite"),
 ])
 def test_config_rejects_settings_that_hang_or_crash(field, value, message):
     with pytest.raises(ConfigError, match=message) as err:

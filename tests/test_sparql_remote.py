@@ -38,6 +38,11 @@ class TestConfig:
         ("politeness_delay", -0.1, "politeness_delay must be >= 0"),
         ("max_in_flight", 0, "max_in_flight must be >= 1"),
         ("backoff_base", -1.0, "backoff_base must be >= 0"),
+        ("timeout", float("inf"), "timeout must be finite"),
+        ("timeout", float("nan"), "timeout must be finite"),
+        ("backoff_base", float("nan"), "backoff_base must be finite"),
+        ("politeness_delay", float("inf"), "politeness_delay must be finite"),
+        ("politeness_delay", float("nan"), "politeness_delay must be finite"),
     ])
     def test_rejects_settings_that_hang_or_crash(self, field, value, message):
         with pytest.raises(ConfigError, match=message) as err:
